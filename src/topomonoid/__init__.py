@@ -8,13 +8,12 @@ real-line sets extended by one axiomatized Vitali atom.
 """
 
 from .corpus import Corpus, build_corpus, parse_set_dsl, random_tame, witness
-from .kinds import Kind, infer_kind, satisfies
 from .monoid import MonoidTable, enumerate_monoid, parity
 from .poset import OrderRelation, corpus_relation, emit_dot, hasse, proved_relation
 from .realsets import Cell, TameSet, interval, point
 from .rewrite import (CompletionReport, ReductionBudgetError, ValidationReport,
-                      completion_check, normalize, validate_rules, validate_schemas)
-from .rules import BASE, PB, TYPO_LEDGER, AxiomSystem, RewriteRule, RuleSchema, get_axioms
+                      completion_check, normalize, validate_rules)
+from .rules import BASE, PB, TYPO_LEDGER, AxiomSystem, RewriteRule, get_axioms
 from .verify import VerifyReport, run_verify
 from .vitali import (DEFAULT_PARAMS, SymbolicSet, Undecidable, VitaliParams,
                      apply_word, distinguish, has_baire_property, is_meager,

@@ -206,9 +206,6 @@ class TameSet:
     def is_open(self) -> bool:
         return self == interior(self)
 
-    def is_closed(self) -> bool:
-        return self == closure(self)
-
     def is_meager(self) -> bool:
         """Syntactic test: only rational traces and isolated points (countable)."""
         return all(g in (NONE, RATS) for g in self.gaps)
@@ -251,19 +248,6 @@ def interval(lo, hi, lo_closed=False, hi_closed=False, density="full") -> TameSe
 
 def point(x) -> TameSet:
     return TameSet.from_cells([Cell(x, x, True, True, "full")])
-
-
-def empty() -> TameSet:
-    return EMPTY
-
-
-def reals() -> TameSet:
-    return REALS
-
-
-def normalize_cells(cells: Iterable[Cell]) -> TameSet:
-    """Canonical form of an arbitrary cell list (alias of TameSet.from_cells)."""
-    return TameSet.from_cells(cells)
 
 
 # -- profile combinators -------------------------------------------------

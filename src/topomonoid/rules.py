@@ -1,4 +1,4 @@
-"""Oriented rewrite rules and kind-guarded schemas for operator words.
+"""Oriented rewrite rules for operator words.
 
 Tiers:
 
@@ -13,17 +13,21 @@ ic -> ck), so canonical words carry at most one leading c plus, under
 BASE only, irreducible trailing "dc" blocks.  Between equals the shorter
 spelling wins, ties by the lexicographic order c < d < f < i < k.
 
-Every rule and every schema instance is semantically validated against
-the witness corpus by rewrite.validate_rules before being trusted; the
-identities whose commonly printed forms fail that validation are listed
-in TYPO_LEDGER together with the corrected forms actually shipped.
+An axiom system is a finite string-rewriting system: each rule rewrites
+its left-hand side anywhere in a word.  Facts that hold only on images
+of a certain shape ("on open images d is the closure") are carried by
+the derived rules that spell that shape out, and their provenance says
+which fact each one instantiates.
+
+Every rule is semantically validated against the witness corpus by
+rewrite.validate_rules before being trusted; the identities whose
+commonly printed forms fail that validation are listed in TYPO_LEDGER
+together with the corrected forms actually shipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .kinds import Kind
 
 
 @dataclass(frozen=True)
@@ -35,22 +39,12 @@ class RewriteRule:
     status: str  # classical | derived
 
 
-@dataclass(frozen=True)
-class RuleSchema:
-    """Prefix rewrite guarded by the kind of the entire remaining suffix."""
-
-    name: str
-    prefix: str
-    replacement: str
-    guard: tuple[Kind, ...]  # fires when the suffix kind satisfies any of these
-    provenance: str
-
-
-@dataclass(frozen=True)
+# Hashed by identity: normalize caches on (word, system), and hashing the
+# whole rule tuple on every lookup would cost as much as the lookup itself.
+@dataclass(frozen=True, eq=False)
 class AxiomSystem:
     name: str
     rules: tuple[RewriteRule, ...]
-    schemas: tuple[RuleSchema, ...]
 
 
 def _r(lhs, rhs, tier, provenance, status="classical"):
@@ -60,32 +54,33 @@ def _r(lhs, rhs, tier, provenance, status="classical"):
 _BASE_CORE = (
     _r("cc", "", "BASE", "complement is an involution"),
     _r("kk", "k", "BASE", "closure is idempotent"),
-    _r("ii", "i", "BASE", "interior is idempotent"),
+    _r("ii", "i", "BASE", "interior is idempotent: it fixes open images"),
     _r("kc", "ci", "BASE", "DeMorgan: closure of a complement is the complement of the interior"),
     _r("ic", "ck", "BASE", "DeMorgan: interior of a complement is the complement of the closure"),
-    _r("kiki", "ki", "BASE", "classical closure-interior collapse"),
-    _r("ikik", "ik", "BASE", "classical interior-closure collapse"),
-    _r("kd", "d", "BASE", "d-images are closed"),
+    _r("kiki", "ki", "BASE", "classical closure-interior collapse: kik is k on open images"),
+    _r("ikik", "ik", "BASE", "classical interior-closure collapse: iki is i on closed images"),
+    _r("kd", "d", "BASE", "d-images are closed, and closure fixes closed images"),
     _r("dd", "d", "BASE", "d is idempotent"),
     _r("di", "ki", "BASE", "on open sets d is the closure"),
     _r("dk", "kik", "BASE", "d of a closure: the nowhere-dense rim kA-ikA is d-null"),
     _r("kid", "d", "BASE", "d-images are regular closed"),
-    # dc-blocks followed by a letter reduce via the kind of the suffix.
-    _r("dcd", "kcd", "BASE", "cd-images are open, where d acts as closure", "derived"),
-    _r("dck", "kck", "BASE", "ck-images are open", "derived"),
-    _r("dcf", "kcf", "BASE", "cf-images are open", "derived"),
-    _r("dci", "kikci", "BASE", "ci-images are closed, where d acts as kik", "derived"),
+    # A dc-block followed by a letter reduces through the shape of the image
+    # that letter starts: d is the closure on open images, ki on closed ones.
+    _r("dcd", "kcd", "BASE", "cd-images are open, and on open images d is the closure", "derived"),
+    _r("dck", "kck", "BASE", "ck-images are open, and on open images d is the closure", "derived"),
+    _r("dcf", "kcf", "BASE", "cf-images are open, and on open images d is the closure", "derived"),
+    _r("dci", "kikci", "BASE", "ci-images are closed, and on closed images d acts as ki", "derived"),
 )
 
 _BASE_FRONTIER = (
     _r("fff", "ff", "BASE", "double frontiers are nowhere dense, and f fixes them"),
     _r("fc", "f", "BASE", "a set and its complement share their frontier"),
-    _r("kf", "f", "BASE", "frontier images are closed"),
+    _r("kf", "f", "BASE", "frontier images are closed, and closure fixes closed images"),
     _r("ffk", "fk", "BASE", "frontier of a closed set is nowhere dense, and f fixes it"),
-    _r("ifk", "0", "BASE", "frontier of a closed set has empty interior"),
-    _r("df", "kif", "BASE", "frontier images are closed, where d acts as ki"),
+    _r("ifk", "0", "BASE", "frontier of a closed set has empty interior: its complement is dense"),
+    _r("df", "kif", "BASE", "frontier images are closed, and on closed images d acts as ki"),
     _r("fid", "fd", "BASE", "d-images are regular closed; i preserves their frontier"),
-    _r("dfk", "0", "BASE", "frontier of a closed set is nowhere dense, hence meager"),
+    _r("dfk", "0", "BASE", "frontier of a closed set is nowhere dense, hence meager and d-null"),
     _r("ffd", "fd", "BASE", "frontier of the closed d-image is nowhere dense", "derived"),
     _r("ffi", "fi", "BASE", "frontier of an open set is nowhere dense", "derived"),
     _r("ifd", "0", "BASE", "frontier of the closed d-image has empty interior", "derived"),
@@ -100,8 +95,8 @@ _BASE_FRONTIER = (
 )
 
 _CONST = tuple(
-    [_r("0" + x, "0", "CONST", "constant operators absorb on the right") for x in "kicdf"]
-    + [_r("1" + x, "1", "CONST", "constant operators absorb on the right") for x in "kicdf"]
+    [_r("0" + x, "0", "CONST", "constant operators absorb on the right") for x in "kicdf01"]
+    + [_r("1" + x, "1", "CONST", "constant operators absorb on the right") for x in "kicdf01"]
     + [
         _r("k0", "0", "CONST", "closure of the empty set"),
         _r("i0", "0", "CONST", "interior of the empty set"),
@@ -120,33 +115,8 @@ _PB_EXTRA = (
     _r("dc", "cid", "PB", "with every set Baire-measurable, dc = cid"),
 )
 
-_K = Kind
-
-SCHEMAS = (
-    RuleSchema("G1", "k", "", (_K.CLOSED,), "closure fixes closed images"),
-    RuleSchema("G2", "i", "", (_K.OPEN,), "interior fixes open images"),
-    RuleSchema("G3", "d", "k", (_K.OPEN,), "on open images d is the closure"),
-    RuleSchema("G4", "d", "ki", (_K.CLOSED,), "on closed images d acts as ki"),
-    RuleSchema("G5", "if", "0", (_K.OPEN, _K.CLOSED),
-               "frontier of an open or closed image has empty interior"),
-    RuleSchema("G6", "ff", "f", (_K.OPEN, _K.CLOSED),
-               "frontier of an open or closed image is nowhere dense; f fixes it"),
-    RuleSchema("G7", "kik", "k", (_K.OPEN,), "kik collapses to k on open images"),
-    RuleSchema("G8", "iki", "i", (_K.CLOSED,), "iki collapses to i on closed images"),
-    RuleSchema("G9", "fi", "f", (_K.REG_CLOSED,),
-               "interior of a regular-closed image has the same frontier"),
-    RuleSchema("G10", "fk", "f", (_K.REG_OPEN,),
-               "closure of a regular-open image has the same frontier"),
-    RuleSchema("G11d", "d", "0", (_K.NWD_CLOSED, _K.EMPTY),
-               "nowhere-dense closed images are meager, hence d-null"),
-    RuleSchema("G11i", "i", "0", (_K.NWD_CLOSED, _K.EMPTY),
-               "nowhere-dense closed images have empty interior"),
-    RuleSchema("G12", "k", "1", (_K.DENSE_OPEN, _K.FULL),
-               "dense images close to the whole space"),
-)
-
-BASE = AxiomSystem("BASE", _BASE_CORE + _BASE_FRONTIER + _CONST, SCHEMAS)
-PB = AxiomSystem("PB", _BASE_CORE + _BASE_FRONTIER + _CONST + _PB_EXTRA, SCHEMAS)
+BASE = AxiomSystem("BASE", _BASE_CORE + _BASE_FRONTIER + _CONST)
+PB = AxiomSystem("PB", _BASE_CORE + _BASE_FRONTIER + _CONST + _PB_EXTRA)
 
 
 def get_axioms(name: str) -> AxiomSystem:

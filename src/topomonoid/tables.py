@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .corpus import witness
 from .monoid import enumerate_monoid
-from .rules import BASE, PB
+from .rules import get_axioms
 from .vitali import DEFAULT_PARAMS, apply_word, render_symbolic
 from .words import render_word
 
@@ -40,8 +40,7 @@ def vitali_figure(params=DEFAULT_PARAMS) -> list[tuple[str, str, str | None]]:
 def kfd_counts() -> list[tuple[str, str, int, tuple[str, ...]]]:
     out = []
     for ax_name, gens in KFD_ROWS:
-        ax = BASE if ax_name == "BASE" else PB
-        table = enumerate_monoid(gens, ax)
+        table = enumerate_monoid(gens, get_axioms(ax_name))
         out.append((ax_name, gens, len(table.elements), table.elements))
     return out
 

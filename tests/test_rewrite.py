@@ -4,8 +4,7 @@ import pytest
 
 from topomonoid.corpus import build_corpus, parse_set_dsl
 from topomonoid.monoid import enumerate_monoid, parity
-from topomonoid.rewrite import (ReductionBudgetError, completion_check, normalize,
-                                validate_rules, validate_schemas)
+from topomonoid.rewrite import ReductionBudgetError, completion_check, normalize, validate_rules
 from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
 
 
@@ -28,6 +27,10 @@ from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
     ("cdc", PB, "id"),
     ("cidc", PB, "d"),
     ("dc", BASE, "dc"),
+    ("00", BASE, "0"),
+    ("ifk0", BASE, "0"),
+    ("01", PB, "0"),
+    ("10", BASE, "1"),
 ])
 def test_normalize_examples(word, ax, expected):
     assert normalize(word, ax) == expected
@@ -103,12 +106,34 @@ def test_rules_export_json():
     assert tiers == {"BASE", "PB", "CONST"}
 
 
-def test_validate_schemas_on_canonical_suffixes():
-    corpus = build_corpus(size=40, seed=7).all_sets()
-    suffixes = enumerate_monoid("kcfd", BASE).elements
-    report = validate_schemas(BASE, suffixes, corpus)
-    assert report.ok, [r.label for r in report.failures()]
-    assert len(report.results) > 100  # plenty of guard-satisfying instances
+def _critical_pairs(rules):
+    """Every overlap and inclusion of two left-hand sides, with both one-step reducts.
+
+    An overlap is a word l1 + l2[k:] where the last k letters of l1 are the
+    first k of l2; an inclusion is l1 itself where l2 occurs inside it.
+    """
+    for r1 in rules:
+        for r2 in rules:
+            l1, l2 = r1.lhs, r2.lhs
+            for k in range(1, min(len(l1), len(l2))):
+                if l1.endswith(l2[:k]):
+                    yield (l1 + l2[k:], r1.rhs + l2[k:], l1[:-k] + r2.rhs)
+            if r1 is not r2:
+                start = l1.find(l2)
+                while start != -1:
+                    yield (l1, r1.rhs, l1[:start] + r2.rhs + l1[start + len(l2):])
+                    start = l1.find(l2, start + 1)
+
+
+@pytest.mark.parametrize("ax,count", [(BASE, 525), (PB, 541)], ids=["BASE", "PB"])
+def test_critical_pairs_join(ax, count):
+    """Local confluence (Knuth-Bendix): both reducts of every critical pair
+    normalize to the same word.  With termination this makes normal forms
+    independent of the order in which rules fire (Newman's lemma)."""
+    pairs = list(_critical_pairs(ax.rules))
+    assert len(pairs) == count
+    unjoined = [(w, a, b) for w, a, b in pairs if normalize(a, ax) != normalize(b, ax)]
+    assert not unjoined, unjoined[:5]
 
 
 def test_completion_check_success():
@@ -120,8 +145,7 @@ def test_completion_check_success():
 def test_completion_check_reports_missing_rule():
     crippled = AxiomSystem(
         "BASE-no-dck",
-        tuple(r for r in BASE.rules if r.lhs != "dck"),
-        schemas=())
+        tuple(r for r in BASE.rules if r.lhs != "dck"))
     good = enumerate_monoid("kcd", BASE).elements
     report = completion_check(crippled, "kcd", candidate=good)
     assert not report.ok
@@ -145,6 +169,6 @@ def test_all_short_words_reach_the_canonical_sets():
 
 def test_budget_exhaustion_raises():
     looping = AxiomSystem("LOOP", (RewriteRule("kc", "ck", "BASE", "bad", "derived"),
-                                   RewriteRule("ck", "kc", "BASE", "bad", "derived")), ())
+                                   RewriteRule("ck", "kc", "BASE", "bad", "derived")))
     with pytest.raises(ReductionBudgetError):
         normalize("kc", looping)
