@@ -28,7 +28,14 @@ All five operators act gap-wise and point-wise on profiles:
   * d fills FULL and IRRS gaps (a co-countable trace is locally
     nonmeager by the Baire category theorem) and kills RATS gaps and
     points (countable, hence meager);
-  * f is k intersected with k of the complement.
+  * f is k intersected with k of the complement, computed in one pass:
+    a gap is FULL when its trace is RATS or IRRS (both the set and its
+    complement are dense there), and a breakpoint is kept when it lies
+    in k of the set and in k of the complement.
+
+Binary operations merge the two sorted breakpoint tuples linearly, and a
+TameSet computes its hash on first use, so short-lived intermediate
+profiles that never serve as a cache key hash no Fraction at all.
 """
 
 from __future__ import annotations
@@ -125,7 +132,7 @@ class TameSet:
         self.breaks = breaks
         self.gaps = gaps
         self.pts = pts
-        self._hash = hash((breaks, gaps, pts))
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -158,7 +165,10 @@ class TameSet:
                 and self.gaps == other.gaps and self.pts == other.pts)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.breaks, self.gaps, self.pts))
+        return h
 
     def __bool__(self):
         return any(self.pts) or any(g != NONE for g in self.gaps)
@@ -268,9 +278,28 @@ def _expand(s: TameSet, breaks: Sequence) -> tuple[list[int], list[bool]]:
 
 
 def _merged_breaks(a: TameSet, b: TameSet):
-    if a.breaks == b.breaks:
-        return a.breaks
-    return sorted(set(a.breaks) | set(b.breaks))
+    xs, ys = a.breaks, b.breaks
+    if xs == ys:
+        return xs
+    # Linear merge of two strictly increasing tuples: no Fraction is hashed.
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        x, y = xs[i], ys[j]
+        if x == y:
+            out.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    out.extend(xs[i:])
+    out.extend(ys[j:])
+    return out
 
 
 def _combine(a: TameSet, b: TameSet, table, pt_op) -> TameSet:
@@ -343,7 +372,19 @@ def second_category(s: TameSet) -> TameSet:
 
 
 def frontier(s: TameSet) -> TameSet:
-    return intersect(closure(s), closure(complement(s)))
+    """k(s) & k(cs), in one pass over the profile of s.
+
+    A gap lies in both closures exactly when both s and its complement
+    are dense in it, i.e. when its trace is RATS or IRRS.  A breakpoint
+    is in k(s) unless it is outside s with NONE on both sides, and in
+    k(cs) unless it is inside s with FULL on both sides.
+    """
+    gs, ps = s.gaps, s.pts
+    gaps = [FULL if g == RATS or g == IRRS else NONE for g in gs]
+    pts = [(ps[j] or gs[j] != NONE or gs[j + 1] != NONE)
+           and (not ps[j] or gs[j] != FULL or gs[j + 1] != FULL)
+           for j in range(len(s.breaks))]
+    return _from_profile(s.breaks, gaps, pts)
 
 
 _LETTER_OPS = {

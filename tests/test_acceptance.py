@@ -4,6 +4,9 @@ Runs the same checks as `topomonoid verify` at the full corpus size and
 prints one pass/fail line per criterion (visible with pytest -s).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from topomonoid.verify import DEFAULT_CORPUS_SIZE, DEFAULT_SEED, run_verify
@@ -44,3 +47,10 @@ def test_exit_contract(report):
     assert report.ok
     data = report.to_json()
     assert len(data["typo_ledger"]) == 5
+
+
+def test_json_report_matches_golden_file(report):
+    # The file is `topomonoid verify --json` at the default corpus and seed.
+    golden = Path(__file__).parent / "data" / "verify_default.json"
+    text = json.dumps(report.to_json(), indent=2, sort_keys=False) + "\n"
+    assert text == golden.read_text(encoding="utf-8")

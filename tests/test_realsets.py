@@ -146,6 +146,50 @@ def test_baire_property_equalities_hold_on_tame_sets():
 def test_frontier_is_closure_minus_interior():
     for s in rnd(1000):
         assert frontier(s) == difference(closure(s), interior(s))
+        assert frontier(s) == intersect(closure(s), closure(complement(s)))
+
+
+def _pairs():
+    """Seeded pairs whose break tuples interleave, coincide or are disjoint."""
+    sets = rnd(300, 5000)
+    left, right = interval(-11, -1), interval(1, 11)
+    pairs = list(zip(sets, sets[1:]))
+    pairs += [(s, s) for s in sets[:50]]
+    pairs += [(s, complement(s)) for s in sets[50:100]]
+    pairs += [(intersect(s, left), intersect(t, right))
+              for s, t in zip(sets[100:150], sets[150:200])]
+    pairs += [(b, a) for a, b in pairs[-50:]]
+    return pairs
+
+
+def _shape(a, b):
+    if a.breaks == b.breaks:
+        return "equal"
+    if not a.breaks or not b.breaks:
+        return "one empty"
+    if a.breaks[-1] < b.breaks[0] or b.breaks[-1] < a.breaks[0]:
+        return "disjoint"
+    return "interleaved"
+
+
+def test_combinators_match_cell_normalization():
+    shapes = set()
+    for a, b in _pairs():
+        shapes.add(_shape(a, b))
+        assert list(realsets._merged_breaks(a, b)) == sorted(set(a.breaks) | set(b.breaks))
+        assert union(a, b) == TameSet.from_cells(a.cells + b.cells)
+        assert intersect(a, b) == complement(
+            TameSet.from_cells(complement(a).cells + complement(b).cells))
+        assert is_subset(a, b) == (TameSet.from_cells(a.cells + b.cells) == b)
+    assert {"equal", "disjoint", "interleaved"} <= shapes
+
+
+def test_hash_is_computed_on_first_use():
+    s = union(interval(0, 1), point(3))
+    assert s._hash is None
+    h = hash(s)
+    assert h == hash((s.breaks, s.gaps, s.pts)) == s._hash
+    assert hash(TameSet.from_cells(s.cells)) == h
 
 
 def test_apply_letter_dispatch():
