@@ -9,7 +9,8 @@
     topomonoid verify [--corpus-size N] [--seed S] [--json FILE]
 
 Global flags --w0 / --w1 set the Vitali atom's parameters.  Exit status:
-0 success, 1 failed check or evaluation error, 2 usage error.
+0 success, 1 failed check, evaluation error or unwritable output file,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ from .rules import get_axioms
 from .tables import even_figure, format_rows, kfd_counts, vitali_figure
 from .vitali import Undecidable, VitaliParams, apply_word, distinguish, render_symbolic
 from .words import ParseError, parse_word, render_word
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", choices=("figure-even", "vitali", "kfd-counts"))
 
     sp = sub.add_parser("verify", help="run the full verification suite")
-    sp.add_argument("--corpus-size", type=int, default=verify_mod.DEFAULT_CORPUS_SIZE)
+    sp.add_argument("--corpus-size", type=_positive_int,
+                    default=verify_mod.DEFAULT_CORPUS_SIZE)
     sp.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
     sp.add_argument("--json", metavar="FILE")
     return p
@@ -196,7 +208,7 @@ def main(argv=None) -> int:
     try:
         params = _params(args)
         return _COMMANDS[args.command](args, params)
-    except (ParseError, ReductionBudgetError, Undecidable, ValueError) as exc:
+    except (ParseError, ReductionBudgetError, Undecidable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

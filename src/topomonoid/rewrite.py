@@ -5,6 +5,16 @@ its left-hand side wherever it occurs (rules are two-sided operator
 identities).  Reduction strategy: leftmost position first; at a
 position, rules in table order.
 
+Finding a redex is multi-pattern string matching.  Each system compiles
+once to one regular expression, the alternation of its escaped left-hand
+sides in table order.  `search` scans positions left to right and, at
+each, tries the alternatives in order, so the first match is exactly the
+redex the strategy picks: the leftmost position, and there the first
+rule in table order that fits.  After a rewrite at `start`, the next
+search begins at `start - (longest lhs - 1)`: the prefix before `start`
+is unchanged and held no redex, so a new redex must overlap the
+rewritten text.
+
 The step budget is a hard tripwire, not a tuning knob: the longest
 reduction of any word over kicdf of length <= 7 takes 19 steps under
 either system, so exhausting the budget means a missing derived rule and
@@ -13,6 +23,7 @@ raises instead of silently accepting.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,22 +42,31 @@ class ReductionBudgetError(RuntimeError):
         self.word = word
 
 
-def _reduce_once(word: str, ax: AxiomSystem) -> str | None:
-    for pos in range(len(word)):
-        for rule in ax.rules:
-            if word.startswith(rule.lhs, pos):
-                return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
-    return None
+# Keyed on the identity-hashed system; the bound only keeps systems built
+# on the fly from piling up.
+@lru_cache(maxsize=16)
+def _redex_finder(ax: AxiomSystem):
+    """(search, lhs -> rhs, look-back) for the system's rule table."""
+    rhs_of: dict[str, str] = {}
+    for rule in ax.rules:
+        rhs_of.setdefault(rule.lhs, rule.rhs)  # a later duplicate lhs never fires
+    # "(?!)" never matches: the empty alternation would match everywhere.
+    pattern = "|".join(map(re.escape, rhs_of)) or "(?!)"
+    look_back = max(map(len, rhs_of), default=1) - 1
+    return re.compile(pattern).search, rhs_of, look_back
 
 
 @lru_cache(maxsize=262144)
 def _normalize_cached(word: str, ax: AxiomSystem) -> str:
-    cur = word
+    search, rhs_of, look_back = _redex_finder(ax)
+    cur, pos = word, 0
     for _ in range(STEP_BUDGET):
-        nxt = _reduce_once(cur, ax)
-        if nxt is None:
+        m = search(cur, pos)
+        if m is None:
             return cur
-        cur = nxt
+        start, end = m.span()
+        cur = cur[:start] + rhs_of[m.group()] + cur[end:]
+        pos = max(0, start - look_back)
     raise ReductionBudgetError(cur, ax.name)
 
 

@@ -97,6 +97,24 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("size", ["0", "-3", "x"])
+def test_verify_rejects_corpus_size_below_one(size):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corpus-size", size])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("poset", "--dot"),
+    ("verify", "--corpus-size", "5", "--json"),
+], ids=["poset-dot", "verify-json"])
+def test_unwritable_output_path_is_an_error_not_a_traceback(capsys, tmp_path, argv):
+    target = tmp_path / "missing-dir" / "out"
+    code, _, err = run(capsys, *argv, str(target))
+    assert code == 1
+    assert err.startswith("error: ") and "missing-dir" in err
+
+
 def test_tables_are_deterministic():
     assert even_figure() == even_figure()
     assert vitali_figure() == vitali_figure()

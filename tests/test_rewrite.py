@@ -172,3 +172,58 @@ def test_budget_exhaustion_raises():
                                    RewriteRule("ck", "kc", "BASE", "bad", "derived")))
     with pytest.raises(ReductionBudgetError):
         normalize("kc", looping)
+
+
+# -- the compiled redex search is exactly the leftmost, table-order strategy ----
+
+
+def _oracle_normalize(word, ax):
+    """The position x rule scan: leftmost position first, rules in table order."""
+    def reduce_once(w):
+        for pos in range(len(w)):
+            for rule in ax.rules:
+                if w.startswith(rule.lhs, pos):
+                    return w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
+        return None
+
+    while (nxt := reduce_once(word)) is not None:
+        word = nxt
+    return word
+
+
+_NO_DCK = AxiomSystem("BASE-no-dck", tuple(r for r in BASE.rules if r.lhs != "dck"))
+
+
+def _strategy_words():
+    from itertools import product
+
+    for length in range(5):
+        for tup in product("kicdf01", repeat=length):
+            yield "".join(tup)
+    rng = random.Random(17)
+    for _ in range(2000):
+        yield "".join(rng.choice("kicdf01") for _ in range(rng.randint(5, 12)))
+
+
+@pytest.mark.parametrize("ax", [BASE, PB, _NO_DCK], ids=["BASE", "PB", "BASE-no-dck"])
+def test_compiled_search_matches_the_scan_oracle(ax):
+    # BASE-no-dck leaves critical pairs unjoined, so its normal forms depend
+    # on the strategy, not only on confluence.
+    diffs = [w for w in _strategy_words() if normalize(w, ax) != _oracle_normalize(w, ax)]
+    assert not diffs, diffs[:5]
+
+
+@pytest.mark.parametrize("rules,expected", [
+    ((("kc", "0"), ("k", "i")), "0"),
+    ((("k", "i"), ("kc", "0")), "ic"),
+], ids=["longer-first", "shorter-first"])
+def test_table_order_decides_between_rules_at_one_position(rules, expected):
+    ax = AxiomSystem("ORDER", tuple(RewriteRule(l, r, "BASE", "test", "derived")
+                                    for l, r in rules))
+    assert normalize("kc", ax) == expected == _oracle_normalize("kc", ax)
+
+
+def test_empty_rule_table_leaves_words_unchanged():
+    empty = AxiomSystem("EMPTY", ())
+    assert normalize("kc", empty) == "kc"
+    assert normalize("", empty) == ""
