@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -184,6 +185,11 @@ def _cmd_table(args, params) -> int:
 
 
 def _cmd_verify(args, params) -> int:
+    if args.json:  # fail before the suite runs, not after it
+        if os.path.isdir(args.json):
+            raise IsADirectoryError(f"{args.json} is a directory")
+        if not os.access(os.path.dirname(os.path.abspath(args.json)), os.W_OK):
+            raise PermissionError(f"cannot write {args.json}: its directory is missing or read-only")
     report = verify_mod.run_verify(args.corpus_size, args.seed, params)
     print(report.format_text())
     if args.json:

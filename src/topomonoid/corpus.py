@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from . import realsets
 from .realsets import Cell, TameSet
-from .vitali import (DEFAULT_PARAMS, SymbolicSet, VitaliParams, minus_v, plus_v,
-                     render_symbolic, tame)
+from .vitali import DEFAULT_PARAMS, SymbolicSet, VitaliParams, minus_v, plus_v, tame
 from .words import ParseError
 
 A18_TEXT = "(1,2) u (2,3) u {4} u Q(5,6) u I(6,7)"
@@ -252,6 +251,3 @@ def parse_set_dsl(text: str, params: VitaliParams = DEFAULT_PARAMS) -> SymbolicS
         return plus_v(base, params)
     return tame(base)
 
-
-def render_set(s: SymbolicSet) -> str:
-    return render_symbolic(s)

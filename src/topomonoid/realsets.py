@@ -178,18 +178,6 @@ class TameSet:
 
     # -- set operations --------------------------------------------------
 
-    def __or__(self, other):
-        return union(self, other)
-
-    def __and__(self, other):
-        return intersect(self, other)
-
-    def __sub__(self, other):
-        return difference(self, other)
-
-    def __invert__(self):
-        return complement(self)
-
     def is_empty(self) -> bool:
         return not self
 

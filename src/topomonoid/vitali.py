@@ -61,6 +61,18 @@ False first direction of an equality skips the second.  Two tame sets that
 differ by one rational point inside W1 still come out None: each half is
 undecidable on its own, though together they force False.  That is a known
 completeness defect, pinned by an xfail test and not yet mended.
+
+Boolean combinations have one case analysis, in sym_union; intersection
+and difference follow by De Morgan:
+
+    A & B = c(cA u cB)        A minus B = c(cA u B)
+
+This is exact because c is an involution on canonical symbolic sets: a
+plusV(B) that did not collapse has W1 not inside B, so its complement
+minusV(cB) meets W1 and does not collapse either, and conversely.  Every
+case of the intersection is a case of the union with plusV and minusV
+swapped, and the union's "tame part partly meets W1" raise asks the same
+two questions (does V miss T?  does V miss cT?) with T and cT exchanged.
 """
 
 from __future__ import annotations
@@ -303,14 +315,6 @@ def sym_equal(a: SymbolicSet, b: SymbolicSet) -> bool:
     return res
 
 
-def sym_compare(op: str, a: SymbolicSet, b: SymbolicSet) -> bool:
-    if op == "subset":
-        return sym_subset(a, b)
-    if op == "equal":
-        return sym_equal(a, b)
-    raise ValueError(f"unknown comparison {op!r}")
-
-
 # -- boolean combinations ----------------------------------------------------
 
 
@@ -336,30 +340,11 @@ def sym_union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
 
 
 def sym_intersect(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
-    params = _params_of(a, b)
-    ma, mb = a.mode, b.mode
-    if ma == MODE_TAME and mb == MODE_TAME:
-        return tame(intersect(a.base, b.base))
-    if MODE_MINUS in (ma, mb) and MODE_TAME not in (ma, mb):
-        # (X u V) & (Y - V) = (X & Y) - V ; (X-V) & (Y-V) = (X&Y) - V.
-        return minus_v(intersect(a.base, b.base), params)
-    if ma == MODE_PLUS and mb == MODE_PLUS:
-        return plus_v(intersect(a.base, b.base), params)
-    m, t = (a, b) if ma != MODE_TAME else (b, a)
-    if m.mode == MODE_MINUS:
-        return minus_v(intersect(m.base, t.base), params)
-    # plusV & tame.
-    if _disjoint_from_v(t.base, params) is True:
-        return tame(intersect(m.base, t.base))
-    if _disjoint_from_v(complement(t.base), params) is True:
-        return plus_v(intersect(m.base, t.base), params)
-    raise Undecidable(
-        f"intersection of {render_symbolic(m)!r} with {render_symbolic(t)!r} is not "
-        f"representable: the tame part partly meets W1")
+    return sym_apply("c", sym_union(sym_apply("c", a), sym_apply("c", b)))
 
 
 def sym_difference(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
-    return sym_intersect(a, sym_apply("c", b))
+    return sym_apply("c", sym_union(sym_apply("c", a), b))
 
 
 # -- derived predicates ------------------------------------------------------
@@ -401,6 +386,29 @@ def distinguish(s: SymbolicSet, ops) -> tuple[int, dict[str, str]]:
             reps.append(img)
         table[render_word(w)] = render_symbolic(img)
     return len(reps), table
+
+
+def check_identity(lhs: str, rhs: str, sets) -> tuple[int, int, tuple[str, str, str] | None]:
+    """Compare the images of two words on each set, up to the first difference.
+
+    Returns (checked, skipped, counterexample).  A set on which either image
+    or their comparison is undecidable is skipped, never counted as agreeing;
+    the counterexample is the rendered (set, lhs image, rhs image), or None.
+    """
+    checked = skipped = 0
+    for s in sets:
+        try:
+            left = apply_word(lhs, s)
+            right = apply_word(rhs, s)
+            same = sym_equal(left, right)
+        except Undecidable:
+            skipped += 1
+            continue
+        checked += 1
+        if not same:
+            return checked, skipped, (
+                render_symbolic(s), render_symbolic(left), render_symbolic(right))
+    return checked, skipped, None
 
 
 def render_symbolic(s: SymbolicSet) -> str:

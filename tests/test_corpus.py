@@ -1,18 +1,18 @@
 import pytest
 
-from topomonoid.corpus import (WITNESS_NAMES, build_corpus, parse_set_dsl,
-                               random_tame, render_set, witness)
+from topomonoid.corpus import WITNESS_NAMES, build_corpus, parse_set_dsl, random_tame, witness
 from topomonoid.realsets import interval, render
+from topomonoid.vitali import render_symbolic
 from topomonoid.words import ParseError
 
 
 def test_witnesses_exist_and_render():
-    assert render_set(witness("A18")) == "(1,2) u (2,3) u {4} u Q(5,6) u I(6,7)"
-    assert render_set(witness("A22")) == "(1,2) u (2,3) u {4} u Q(5,6) u I(6,7) u V"
-    assert render_set(witness("V")) == "V"
-    assert render_set(witness("cV")) == "(-inf,inf) ∖ V"
-    assert render_set(witness("empty")) == "{}"
-    assert render_set(witness("full")) == "(-inf,inf)"
+    assert render_symbolic(witness("A18")) == "(1,2) u (2,3) u {4} u Q(5,6) u I(6,7)"
+    assert render_symbolic(witness("A22")) == "(1,2) u (2,3) u {4} u Q(5,6) u I(6,7) u V"
+    assert render_symbolic(witness("V")) == "V"
+    assert render_symbolic(witness("cV")) == "(-inf,inf) ∖ V"
+    assert render_symbolic(witness("empty")) == "{}"
+    assert render_symbolic(witness("full")) == "(-inf,inf)"
     with pytest.raises(ValueError):
         witness("A19")
 
@@ -20,7 +20,7 @@ def test_witnesses_exist_and_render():
 def test_witnesses_round_trip_through_dsl():
     for name in WITNESS_NAMES:
         s = witness(name)
-        assert parse_set_dsl(render_set(s)) == s
+        assert parse_set_dsl(render_symbolic(s)) == s
 
 
 def test_dsl_examples():
@@ -38,9 +38,9 @@ def test_dsl_examples():
 def test_dsl_closed_trace_spans():
     # A closed span intersected with the rationals keeps its (rational)
     # endpoints; intersected with the irrationals it loses them.
-    assert render_set(parse_set_dsl("Q[5,6]")) == "{5} u Q(5,6) u {6}"
-    assert render_set(parse_set_dsl("I[5,6]")) == "I(5,6)"
-    assert render_set(parse_set_dsl("Q[5,6)")) == "{5} u Q(5,6)"
+    assert render_symbolic(parse_set_dsl("Q[5,6]")) == "{5} u Q(5,6) u {6}"
+    assert render_symbolic(parse_set_dsl("I[5,6]")) == "I(5,6)"
+    assert render_symbolic(parse_set_dsl("Q[5,6)")) == "{5} u Q(5,6)"
 
 
 def test_dsl_rejections():

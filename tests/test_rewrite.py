@@ -136,6 +136,44 @@ def test_critical_pairs_join(ax, count):
     assert not unjoined, unjoined[:5]
 
 
+def _weighted_shortlex(word):
+    """Sort key of weighted shortlex: d weighs 3, every other letter 1; ties
+    go lexicographically under the precedence c < k < i < d < f < 0 < 1."""
+    return sum(3 if ch == "d" else 1 for ch in word), ["ckidf01".index(ch) for ch in word]
+
+
+def _dc_pairs(word):
+    """M: the number of (d, c) letter pairs with the d to the left of the c."""
+    pairs = ds = 0
+    for ch in word:
+        if ch == "d":
+            ds += 1
+        elif ch == "c":
+            pairs += ds
+    return pairs
+
+
+def test_rules_decrease_under_a_reduction_order():
+    """Termination.  Weighted shortlex is a reduction order (positive weights:
+    finitely many words of each weight, and it is kept by any surrounding
+    word), and every BASE rule decreases it.  Under PB, dc -> cid adds a
+    letter, so PB uses the lexicographic pair (M, weighted shortlex): no PB
+    rule raises the number of c's or of d's, so M cannot rise through the
+    pairs a rule's letters form with the surrounding word, and every rule
+    lowers M or keeps it and lowers weighted shortlex."""
+    assert len(BASE.rules) == 57 and len(PB.rules) == 58
+    for r in BASE.rules:
+        assert _weighted_shortlex(r.rhs) < _weighted_shortlex(r.lhs), r
+    for r in PB.rules:
+        assert r.rhs.count("c") <= r.lhs.count("c"), r
+        assert r.rhs.count("d") <= r.lhs.count("d"), r
+        assert _dc_pairs(r.rhs) <= _dc_pairs(r.lhs), r
+        assert (_dc_pairs(r.rhs), _weighted_shortlex(r.rhs)) < (
+            _dc_pairs(r.lhs), _weighted_shortlex(r.lhs)), r
+    assert [r.lhs for r in PB.rules
+            if not _weighted_shortlex(r.rhs) < _weighted_shortlex(r.lhs)] == ["dc"]
+
+
 def test_completion_check_success():
     assert completion_check(BASE, "kcd").ok
     assert completion_check(PB, "kcd").size == 18

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from topomonoid import realsets, vitali
-from topomonoid.corpus import build_corpus, random_tame, witness
+from topomonoid.corpus import build_corpus, parse_set_dsl, random_tame, witness
 from topomonoid.monoid import enumerate_monoid
 from topomonoid.realsets import interval, point, union
 from topomonoid.rules import BASE, PB
 from topomonoid.vitali import (Undecidable, VitaliParams, apply_word,
-                               distinguish, has_baire_property, is_meager,
+                               check_identity, distinguish, has_baire_property, is_meager,
                                minus_v, plus_v, render_symbolic, sym_apply,
-                               sym_compare, sym_difference, sym_equal,
+                               sym_difference, sym_equal,
                                sym_intersect, sym_subset, sym_union, tame)
 
 V = witness("V")
@@ -93,9 +93,9 @@ def test_apply_word_error_carries_position():
 
 
 def test_subset_examples():
-    assert sym_compare("subset", V, plus_v(realsets.EMPTY))
-    assert sym_compare("equal", apply_word("cdc", V), tame(realsets.EMPTY))
-    assert sym_compare("subset", apply_word("d", A22), apply_word("kik", A22))
+    assert sym_subset(V, plus_v(realsets.EMPTY))
+    assert sym_equal(apply_word("cdc", V), tame(realsets.EMPTY))
+    assert sym_subset(apply_word("d", A22), apply_word("kik", A22))
     assert sym_subset(V, tame(interval(8, 10, True, True)))
     assert not sym_subset(V, tame(interval(8, 9, True, True)))
     assert not sym_subset(tame(realsets.REALS), V)
@@ -134,6 +134,23 @@ def test_distinguish_counts():
     assert set(table.values()) == {"{}", "(-inf,inf)"}
     n, _ = distinguish(witness("A18"), enumerate_monoid("kcd", PB).elements)
     assert n == 18
+
+
+def test_check_identity_returns_the_first_counterexample():
+    doc = parse_set_dsl("(0,1) u Q(1,2)")
+    empty = tame(realsets.EMPTY)
+    assert check_identity("fkik", "fki", [empty, doc, V]) == (
+        2, 0, ("(0,1) u Q(1,2)", "{0} u {2}", "{0} u {1}"))
+    assert check_identity("fkik", "fik", [empty, doc, V, CV]) == (4, 0, None)
+
+
+def test_check_identity_skips_undecidable_sets():
+    s = minus_v(union(interval(8, 9), point(Fraction(19, 2))))
+    assert render_symbolic(s) == "(8,9) u {19/2} ∖ V"
+    with pytest.raises(Undecidable):
+        apply_word("k", s)
+    assert check_identity("k", "kk", [V, s, CV]) == (2, 1, None)
+    assert check_identity("k", "i", [s, V]) == (1, 1, ("V", "[8,10]", "{}"))
 
 
 def test_combinations():
@@ -262,3 +279,71 @@ def test_tame_sets_differing_by_one_rational_point_in_w1():
     b = tame(interval(0, 1))
     assert sym_subset(a, b) is False
     assert sym_equal(a, b) is False
+
+
+# -- intersection and difference by De Morgan against the case analysis ---------
+
+
+def _intersect_by_cases(a, b):
+    """sym_intersect as its own case analysis, the form De Morgan replaced."""
+    params = vitali._params_of(a, b)
+    ma, mb = a.mode, b.mode
+    if ma == "tame" and mb == "tame":
+        return tame(realsets.intersect(a.base, b.base))
+    if "minusV" in (ma, mb) and "tame" not in (ma, mb):
+        return minus_v(realsets.intersect(a.base, b.base), params)
+    if ma == "plusV" and mb == "plusV":
+        return plus_v(realsets.intersect(a.base, b.base), params)
+    m, t = (a, b) if ma != "tame" else (b, a)
+    if m.mode == "minusV":
+        return minus_v(realsets.intersect(m.base, t.base), params)
+    if vitali._disjoint_from_v(t.base, params) is True:
+        return tame(realsets.intersect(m.base, t.base))
+    if vitali._disjoint_from_v(realsets.complement(t.base), params) is True:
+        return plus_v(realsets.intersect(m.base, t.base), params)
+    raise Undecidable("the tame part partly meets W1")
+
+
+def _outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except Undecidable:
+        return Undecidable
+
+
+def _de_morgan_pool(params, seed):
+    """Seeded sets of every mode, half of them built on the edge of W1."""
+    lo, hi = params.w1.breaks[0], params.w1.breaks[-1]
+    mid, quarter = (lo + hi) / 2, (hi - lo) / 4
+    edge = [
+        params.w1, params.kw1, params.w0, realsets.complement(params.w1),
+        realsets.difference(params.w1, point(mid)), point(mid),
+        interval(lo, hi, density="rationals"), interval(lo - 1, mid),
+        union(interval(lo, lo + quarter), point(hi - quarter)), realsets.EMPTY,
+    ]
+    bases = edge + [random_tame(seed, 3)]
+    bases += [union(random_tame(seed + j, 2), interval(lo + quarter * (j + 1), hi))
+              for j in range(2)]
+    # Collapsed plusV/minusV sets repeat tame ones; keep each set once.
+    return list(dict.fromkeys(
+        s for b in bases for s in (tame(b), plus_v(b, params), minus_v(b, params))))
+
+
+@pytest.mark.parametrize("params", [
+    vitali.DEFAULT_PARAMS, VitaliParams.make(interval(-2, -1), interval(-3, 5))],
+    ids=["default", "custom"])
+def test_intersection_and_difference_match_the_case_analysis(params):
+    pool = _de_morgan_pool(params, 9100)
+    comp = {s: sym_apply("c", s) for s in pool}
+    for s in pool:
+        assert sym_apply("c", comp[s]) == s
+    outcomes = set()
+    for a in pool:
+        for b in pool:
+            got = _outcome(sym_intersect, a, b)
+            assert got == _outcome(_intersect_by_cases, a, b), (a, b)
+            # The difference as it was defined: A minus B = A & cB.
+            assert _outcome(sym_difference, a, b) == _outcome(
+                _intersect_by_cases, a, comp[b]), (a, b)
+            outcomes.add(Undecidable if got is Undecidable else got.mode)
+    assert outcomes == {"tame", "plusV", "minusV", Undecidable}
