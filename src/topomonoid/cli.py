@@ -188,7 +188,8 @@ def _cmd_verify(args, params) -> int:
     if args.json:  # fail before the suite runs, not after it
         if os.path.isdir(args.json):
             raise IsADirectoryError(f"{args.json} is a directory")
-        if not os.access(os.path.dirname(os.path.abspath(args.json)), os.W_OK):
+        parent = os.path.dirname(os.path.abspath(args.json))
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             raise PermissionError(f"cannot write {args.json}: its directory is missing or read-only")
     report = verify_mod.run_verify(args.corpus_size, args.seed, params)
     print(report.format_text())

@@ -33,6 +33,18 @@ All five operators act gap-wise and point-wise on profiles:
     complement are dense there), and a breakpoint is kept when it lies
     in k of the set and in k of the complement.
 
+Locality lemma.  Before minimization, a gap's new trace depends only on
+its old trace, and a breakpoint's new membership only on its triple (left
+trace, membership, right trace).  Minimization reads only traces and
+memberships too.  So each operator is a map on the *shape* (gaps, pts):
+it yields the image's shape and the indices `keep` of the breakpoints
+that survive, and the breakpoint values merely ride along
+(breaks[j] for j in keep).  Each operator is written once as such a map,
+and `_step` memoizes it on (letter, gaps, pts): tuples of small ints and
+bools, so no Fraction is hashed or compared.  The TameSet operators are
+thin wrappers around one step; `apply_word` walks a whole word on the
+shape, composes the keep maps and builds one TameSet at the end.
+
 Binary operations merge the two sorted breakpoint tuples linearly, and a
 TameSet computes its hash on first use, so short-lived intermediate
 profiles that never serve as a cache key hash no Fraction at all.
@@ -42,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 INF = float("inf")
@@ -223,15 +236,21 @@ def _cell_contains(c: Cell, p: Fraction) -> bool:
     return False
 
 
+def _minimize(gaps: Sequence[int], pts: Sequence[bool]):
+    """(keep, gaps, pts) of the minimal profile: the indices of the surviving
+    breakpoints and the merged traces and memberships.  Reads no breakpoint."""
+    keep = tuple(j for j in range(len(pts))
+                 if gaps[j] != gaps[j + 1] or pts[j] != _NATURAL[gaps[j]])
+    if len(keep) == len(pts):
+        return keep, tuple(gaps), tuple(pts)
+    return keep, (gaps[0], *[gaps[j + 1] for j in keep]), tuple(pts[j] for j in keep)
+
+
 def _from_profile(breaks: Sequence, gaps: Sequence[int], pts: Sequence[bool]) -> TameSet:
-    keep = [j for j in range(len(breaks))
-            if gaps[j] != gaps[j + 1] or pts[j] != _NATURAL[gaps[j]]]
-    if len(keep) == len(breaks):
-        return TameSet._raw(breaks, gaps, pts)
-    new_breaks = [breaks[j] for j in keep]
-    new_gaps = [gaps[0]] + [gaps[j + 1] for j in keep]
-    new_pts = [pts[j] for j in keep]
-    return TameSet._raw(new_breaks, new_gaps, new_pts)
+    keep, gaps, pts = _minimize(gaps, pts)
+    if len(keep) != len(breaks):
+        breaks = [breaks[j] for j in keep]
+    return TameSet._raw(breaks, gaps, pts)
 
 
 EMPTY = TameSet._raw((), (NONE,), ())
@@ -311,14 +330,6 @@ def difference(a: TameSet, b: TameSet) -> TameSet:
     return intersect(a, complement(b))
 
 
-def complement(s: TameSet) -> TameSet:
-    return _from_profile(
-        s.breaks,
-        [_COMPL[g] for g in s.gaps],
-        [not p for p in s.pts],
-    )
-
-
 def is_subset(a: TameSet, b: TameSet) -> bool:
     breaks = _merged_breaks(a, b)
     ga, pa = _expand(a, breaks)
@@ -328,20 +339,72 @@ def is_subset(a: TameSet, b: TameSet) -> bool:
 
 
 # -- the five operators ----------------------------------------------------
+#
+# Each operator is written once, as a map from a shape (gaps, pts) to the
+# unminimized shape of its image (the locality lemma in the module docstring).
+
+
+def _closure_shape(gs, ps):
+    return ([FULL if g != NONE else NONE for g in gs],
+            [p or gs[j] != NONE or gs[j + 1] != NONE for j, p in enumerate(ps)])
+
+
+def _interior_shape(gs, ps):
+    return ([FULL if g == FULL else NONE for g in gs],
+            [p and gs[j] == FULL and gs[j + 1] == FULL for j, p in enumerate(ps)])
+
+
+def _complement_shape(gs, ps):
+    return [_COMPL[g] for g in gs], [not p for p in ps]
+
+
+def _second_category_shape(gs, ps):
+    filled = [g in (FULL, IRRS) for g in gs]
+    return ([FULL if f else NONE for f in filled],
+            [filled[j] or filled[j + 1] for j in range(len(ps))])
+
+
+def _frontier_shape(gs, ps):
+    return ([FULL if g == RATS or g == IRRS else NONE for g in gs],
+            [(p or gs[j] != NONE or gs[j + 1] != NONE)
+             and (not p or gs[j] != FULL or gs[j + 1] != FULL)
+             for j, p in enumerate(ps)])
+
+
+_SHAPE_OPS = {
+    "k": _closure_shape,
+    "i": _interior_shape,
+    "c": _complement_shape,
+    "d": _second_category_shape,
+    "f": _frontier_shape,
+}
+
+
+@lru_cache(maxsize=262144)
+def _step(letter: str, gaps: tuple[int, ...], pts: tuple[bool, ...]):
+    """(keep, gaps, pts) of the letter's minimal image of any profile of
+    this shape; the image's breakpoints are breaks[j] for j in keep."""
+    return _minimize(*_SHAPE_OPS[letter](gaps, pts))
+
+
+def _stepped(letter: str, s: TameSet) -> TameSet:
+    keep, gaps, pts = _step(letter, s.gaps, s.pts)
+    breaks = s.breaks
+    if len(keep) != len(breaks):
+        breaks = tuple(breaks[j] for j in keep)
+    return TameSet(breaks, gaps, pts, _trusted=True)
 
 
 def closure(s: TameSet) -> TameSet:
-    gaps = [FULL if g != NONE else NONE for g in s.gaps]
-    pts = [s.pts[j] or s.gaps[j] != NONE or s.gaps[j + 1] != NONE
-           for j in range(len(s.breaks))]
-    return _from_profile(s.breaks, gaps, pts)
+    return _stepped("k", s)
 
 
 def interior(s: TameSet) -> TameSet:
-    gaps = [FULL if g == FULL else NONE for g in s.gaps]
-    pts = [s.pts[j] and s.gaps[j] == FULL and s.gaps[j + 1] == FULL
-           for j in range(len(s.breaks))]
-    return _from_profile(s.breaks, gaps, pts)
+    return _stepped("i", s)
+
+
+def complement(s: TameSet) -> TameSet:
+    return _stepped("c", s)
 
 
 def second_category(s: TameSet) -> TameSet:
@@ -353,10 +416,7 @@ def second_category(s: TameSet) -> TameSet:
     gap and isolated points are countable, hence meager, and vanish.
     Finite additivity of d makes the gap-wise computation exact.
     """
-    filled = [g in (FULL, IRRS) for g in s.gaps]
-    gaps = [FULL if f else NONE for f in filled]
-    pts = [filled[j] or filled[j + 1] for j in range(len(s.breaks))]
-    return _from_profile(s.breaks, gaps, pts)
+    return _stepped("d", s)
 
 
 def frontier(s: TameSet) -> TameSet:
@@ -367,12 +427,7 @@ def frontier(s: TameSet) -> TameSet:
     is in k(s) unless it is outside s with NONE on both sides, and in
     k(cs) unless it is inside s with FULL on both sides.
     """
-    gs, ps = s.gaps, s.pts
-    gaps = [FULL if g == RATS or g == IRRS else NONE for g in gs]
-    pts = [(ps[j] or gs[j] != NONE or gs[j + 1] != NONE)
-           and (not ps[j] or gs[j] != FULL or gs[j + 1] != FULL)
-           for j in range(len(s.breaks))]
-    return _from_profile(s.breaks, gaps, pts)
+    return _stepped("f", s)
 
 
 _LETTER_OPS = {
@@ -384,12 +439,45 @@ _LETTER_OPS = {
 }
 
 
+def _unknown_letter(letter: str) -> ValueError:
+    return ValueError(f"unknown operator letter {letter!r}")
+
+
 def apply_letter(letter: str, s: TameSet) -> TameSet:
     try:
         op = _LETTER_OPS[letter]
     except KeyError:
-        raise ValueError(f"unknown operator letter {letter!r}") from None
+        raise _unknown_letter(letter) from None
     return op(s)
+
+
+def apply_word(word: str, s: TameSet) -> TameSet:
+    """Right-to-left image of s under a word over kicdf01, on the shape alone.
+
+    Each letter is one cached _step; the keep maps compose, and the image's
+    breakpoints are selected from those of s (or of the last constant) once,
+    at the end.  Returns s itself when the word leaves it unchanged.
+    """
+    start = s
+    gaps, pts = s.gaps, s.pts
+    keep = None  # None: every breakpoint of start survives
+    for pos in range(len(word) - 1, -1, -1):
+        ch = word[pos]
+        if ch == "0" or ch == "1":
+            start = EMPTY if ch == "0" else REALS
+            gaps, pts, keep = start.gaps, start.pts, None
+            continue
+        if ch not in _SHAPE_OPS:
+            raise _unknown_letter(ch)
+        n = len(pts)
+        step, gaps, pts = _step(ch, gaps, pts)
+        if len(step) != n:
+            keep = step if keep is None else tuple(keep[j] for j in step)
+    if keep is None:
+        if gaps == start.gaps and pts == start.pts:
+            return start
+        return TameSet(start.breaks, gaps, pts, _trusted=True)
+    return TameSet(tuple(start.breaks[j] for j in keep), gaps, pts, _trusted=True)
 
 
 # -- rendering ------------------------------------------------------------

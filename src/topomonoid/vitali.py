@@ -39,6 +39,17 @@ which is closed under k, i, c, d, f:
     *complement* of a plusV base inside W1.
   * f(S) = k(S) & k(cS), always tame because k-images are tame.
 
+apply_word folds a word right to left.  While the image is plusV or
+minusV, each letter goes through sym_apply behind a value cache keyed on
+(letter, SymbolicSet).  That prefix is at most a run of c's plus one more
+letter, because k, d, f and i = ckc always give a tame image, and it is
+the only place Undecidable can arise.  From the first tame image on, the
+rest of the word is one realsets.apply_word walk on the profile's shape.
+That walk is exact: sym_apply on tame(B) is tame of the realsets operator
+on B, and by the locality lemma (see realsets) composing the shape steps
+and their keep maps gives the very profile the letter-by-letter fold
+builds.  Tame steps therefore never reach the value cache.
+
 Comparisons reduce to two questions about a tame remainder R:
 
     R subset of V?   False unless R is a finite set of (rational)
@@ -212,9 +223,15 @@ def _cached_apply(letter: str, s: SymbolicSet) -> SymbolicSet:
 
 
 def apply_word(word: str, s: SymbolicSet) -> SymbolicSet:
-    """Right-to-left fold of sym_apply; constants 0 and 1 are absolute."""
+    """Right-to-left fold of sym_apply; constants 0 and 1 are absolute.
+
+    Letters applied to a plusV or minusV set go through the value cache.
+    From the first tame image on, the rest of the word is one
+    realsets.apply_word walk on the profile's shape.
+    """
     cur = s
-    for pos in range(len(word) - 1, -1, -1):
+    pos = len(word) - 1
+    while pos >= 0 and cur.mode != MODE_TAME:
         ch = word[pos]
         if ch == "0":
             cur = tame(realsets.EMPTY)
@@ -227,7 +244,11 @@ def apply_word(word: str, s: SymbolicSet) -> SymbolicSet:
                 raise Undecidable(
                     f"{exc} [letter {ch!r} at position {pos + 1} of "
                     f"{render_word(word)!r}]") from None
-    return cur
+        pos -= 1
+    if pos < 0:
+        return cur
+    base = realsets.apply_word(word[:pos + 1], cur.base)
+    return cur if base is cur.base else tame(base)
 
 
 # -- three-valued V facts ---------------------------------------------------

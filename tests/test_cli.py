@@ -115,17 +115,20 @@ def test_unwritable_output_path_is_an_error_not_a_traceback(capsys, tmp_path, ar
     assert err.startswith("error: ") and "missing-dir" in err
 
 
-@pytest.mark.parametrize("target", ["missing-dir/v.json", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("target", ["missing-dir/v.json", ".", "file/v.json"],
+                         ids=["missing-dir", "directory", "parent-is-a-file"])
 def test_verify_rejects_an_unwritable_json_path_before_running(capsys, tmp_path, monkeypatch,
                                                                 target):
     def must_not_run(*args):
         raise AssertionError("run_verify called for an unwritable --json path")
 
     monkeypatch.setattr("topomonoid.verify.run_verify", must_not_run)
+    (tmp_path / "file").write_text("")
     code, out, err = run(capsys, "verify", "--json", str(tmp_path / target))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_tables_are_deterministic():

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topomonoid import realsets
 from topomonoid.corpus import random_tame
-from topomonoid.realsets import (Cell, TameSet, apply_letter, closure, complement,
+from topomonoid.realsets import (Cell, TameSet, apply_letter, apply_word, closure, complement,
                                  difference, frontier, interior, intersect,
                                  interval, is_subset, point, render,
                                  second_category, union)
@@ -209,3 +211,74 @@ def test_structural_equality_is_set_equality():
 def test_float_endpoints_rejected():
     with pytest.raises(TypeError):
         interval(0.1, 0.5)
+
+
+# -- the locality lemma: every operator is a map on the profile's shape ----------
+
+LOCAL = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def shape_with_two_placements(draw):
+    """A profile shape (gaps, pts) and two different breakpoint tuples for it."""
+    n = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.sampled_from(range(4)), min_size=n + 1, max_size=n + 1))
+    pts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    placements = []
+    for _ in range(2):
+        denominator = draw(st.integers(1, 7))
+        numerators = draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n, unique=True))
+        placements.append(tuple(sorted({Fraction(m, denominator) for m in numerators})))
+    assume(placements[0] != placements[1])
+    return gaps, pts, placements
+
+
+def _kept(img, s):
+    """Indices of s's breakpoints that the image keeps (a subsequence of s.breaks)."""
+    keep = [s.breaks.index(b) for b in img.breaks]
+    assert keep == sorted(keep)
+    return keep
+
+
+@LOCAL
+@given(shape_with_two_placements())
+def test_each_letter_acts_on_the_shape_alone(drawn):
+    gaps, pts, (xs, ys) = drawn
+    # The drawn profile need not be minimal, so every (trace, membership,
+    # trace) triple occurs; minimization is itself a map on the shape.
+    raw_a, raw_b = TameSet._raw(xs, gaps, pts), TameSet._raw(ys, gaps, pts)
+    a, b = realsets._from_profile(xs, gaps, pts), realsets._from_profile(ys, gaps, pts)
+    assert (a.gaps, a.pts) == (b.gaps, b.pts)
+    assert _kept(a, raw_a) == _kept(b, raw_b)
+    for s, t in ((raw_a, raw_b), (a, b)):
+        for letter in "kicdf":
+            ia, ib = apply_letter(letter, s), apply_letter(letter, t)
+            assert (ia.gaps, ia.pts) == (ib.gaps, ib.pts), letter
+            assert _kept(ia, s) == _kept(ib, t), letter
+
+
+@LOCAL
+@given(shape_with_two_placements())
+def test_interior_and_frontier_identities_on_drawn_shapes(drawn):
+    gaps, pts, placements = drawn
+    for xs in placements:
+        for s in (TameSet._raw(xs, gaps, pts), realsets._from_profile(xs, gaps, pts)):
+            assert interior(s) == complement(closure(complement(s)))
+            assert frontier(s) == intersect(closure(s), closure(complement(s)))
+
+
+def test_apply_word_walks_like_the_letter_fold():
+    words = ["", "k", "ck", "fkic", "dcdf", "kk0", "i1c", "cfcdkicdfc", "1k0"]
+    for s in rnd(100, 8000):
+        for w in words:
+            img = s
+            for ch in reversed(w):
+                if ch in "01":
+                    img = realsets.EMPTY if ch == "0" else realsets.REALS
+                else:
+                    img = apply_letter(ch, img)
+            assert apply_word(w, s) == img, (w, s)
+    s = interval(0, 1, True, True)
+    assert apply_word("kc" * 3, s) is not s and apply_word("cc", s) is s
+    with pytest.raises(ValueError, match="unknown operator letter 'x'"):
+        apply_word("kx", s)

@@ -13,6 +13,7 @@ from topomonoid.vitali import (Undecidable, VitaliParams, apply_word,
                                minus_v, plus_v, render_symbolic, sym_apply,
                                sym_difference, sym_equal,
                                sym_intersect, sym_subset, sym_union, tame)
+from topomonoid.words import render_word
 
 V = witness("V")
 CV = witness("cV")
@@ -347,3 +348,77 @@ def test_intersection_and_difference_match_the_case_analysis(params):
                 _intersect_by_cases, a, comp[b]), (a, b)
             outcomes.add(Undecidable if got is Undecidable else got.mode)
     assert outcomes == {"tame", "plusV", "minusV", Undecidable}
+
+
+# -- apply_word against the uncached letter-by-letter fold ------------------------
+
+
+def _fold(word, s):
+    """apply_word as a plain fold: sym_apply letter by letter, no cache, no walk."""
+    cur = s
+    for pos in range(len(word) - 1, -1, -1):
+        ch = word[pos]
+        if ch == "0":
+            cur = tame(realsets.EMPTY)
+        elif ch == "1":
+            cur = tame(realsets.REALS)
+        else:
+            try:
+                cur = sym_apply(ch, cur)
+            except Undecidable as exc:
+                raise Undecidable(
+                    f"{exc} [letter {ch!r} at position {pos + 1} of "
+                    f"{render_word(word)!r}]") from None
+    return cur
+
+
+def _image_or_text(fn, word, s):
+    try:
+        return fn(word, s)
+    except Undecidable as exc:
+        return str(exc)
+
+
+def _every_adjacent_pair(lo, step):
+    """A tame set whose profile has every ordered pair of adjacent traces (a de
+    Bruijn walk over the four traces), with breakpoints alternately in and out."""
+    traces = [0, 0, 1, 0, 2, 0, 3, 1, 1, 2, 1, 3, 2, 2, 3, 3, 0]
+    breaks = [lo + step * j for j in range(16)]
+    return realsets._from_profile(breaks, traces, [j % 2 == 0 for j in range(16)])
+
+
+@pytest.mark.parametrize("params", [
+    vitali.DEFAULT_PARAMS, VitaliParams.make(interval(-2, -1), interval(-3, 5))],
+    ids=["default", "custom"])
+def test_apply_word_matches_the_uncached_fold(params):
+    pool = _de_morgan_pool(params, 9300)
+    pool += [tame(random_tame(9400 + j, 5)) for j in range(10)]
+    lo, hi = params.w1.breaks[0], params.w1.breaks[-1]
+    for base in (_every_adjacent_pair(lo - 1, (hi - lo + 2) / 16),
+                 _every_adjacent_pair(hi + 1, Fraction(1, 2))):
+        pool += [tame(base), plus_v(base, params), minus_v(base, params)]
+    rng = random.Random(11)
+    # Constants are drawn rarely: one resets the walk, so most words keep none.
+    words = ["".join(rng.choice("kicdf" * 8 + "01") for _ in range(n))
+             for n in range(11) for _ in range(15)]
+    modes, undecidable = set(), 0
+    for s in pool:
+        before = vitali._cached_apply.cache_info()
+        for w in words:
+            got = _image_or_text(apply_word, w, s)
+            assert got == _image_or_text(_fold, w, s), (w, s)
+            undecidable += isinstance(got, str)
+        if s.is_tame():
+            # Tame steps walk the shape and never reach the value cache.
+            assert vitali._cached_apply.cache_info() == before, s
+        modes.add(s.mode)
+    assert modes == {"tame", "plusV", "minusV"}
+    assert undecidable > 0
+
+
+def test_apply_word_returns_an_unchanged_tame_input_itself():
+    s = tame(interval(0, 1, True, True))
+    assert apply_word("", s) is s
+    assert apply_word("kcc", s) is s
+    assert apply_word("i", s) == tame(interval(0, 1))
+    assert apply_word("k0", s) == tame(realsets.EMPTY)
