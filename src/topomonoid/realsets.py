@@ -45,9 +45,14 @@ bools, so no Fraction is hashed or compared.  The TameSet operators are
 thin wrappers around one step; `apply_word` walks a whole word on the
 shape, composes the keep maps and builds one TameSet at the end.
 
-Binary operations merge the two sorted breakpoint tuples linearly, and a
-TameSet computes its hash on first use, so short-lived intermediate
-profiles that never serve as a cache key hash no Fraction at all.
+Breakpoints are compared as little as the algebra allows.  Each binary
+operation (union, intersection, subset) makes one aligned walk, `_aligned`,
+over the two sorted breakpoint tuples: it yields the merged breakpoints and
+both profiles spelled out on them, comparing each pair of breakpoints once
+for equality and at most once for order.  `from_cells` maps each cell's
+endpoints to breakpoint indices once and fills traces and memberships by
+index.  A TameSet computes its hash on first use, so short-lived
+intermediate profiles that never serve as a cache key hash no Fraction.
 """
 
 from __future__ import annotations
@@ -155,20 +160,34 @@ class TameSet:
 
     @staticmethod
     def from_cells(cells: Iterable[Cell]) -> "TameSet":
-        """Normalize an arbitrary (possibly overlapping) cell collection."""
+        """Normalize an arbitrary (possibly overlapping) cell collection.
+
+        Each cell's endpoints become breakpoint indices once (-1 and n for
+        the infinite ends); the cell then covers gaps lo+1..hi and, unless
+        it is an irrationals trace, the breakpoints strictly between its
+        ends and its closed ends.  Only integers are compared.
+        """
         cells = list(cells)
         breaks = sorted({c.lo for c in cells if isinstance(c.lo, Fraction)}
                         | {c.hi for c in cells if isinstance(c.hi, Fraction)})
-        gaps = []
-        for i in range(len(breaks) + 1):
-            lo = breaks[i - 1] if i > 0 else NEG_INF
-            hi = breaks[i] if i < len(breaks) else INF
-            t = NONE
-            for c in cells:
-                if c.lo <= lo and hi <= c.hi and c.lo < c.hi:
-                    t = _UNION[t][DENSITY_CODES[c.density]]
-            gaps.append(t)
-        pts = [any(_cell_contains(c, b) for c in cells) for b in breaks]
+        n = len(breaks)
+        index = {b: j for j, b in enumerate(breaks)}
+        gaps = [NONE] * (n + 1)
+        pts = [False] * n
+        for c in cells:
+            lo = index[c.lo] if isinstance(c.lo, Fraction) else -1
+            hi = index[c.hi] if isinstance(c.hi, Fraction) else n
+            code = DENSITY_CODES[c.density]
+            for j in range(lo + 1, hi + 1):
+                gaps[j] = _UNION[gaps[j]][code]
+            # Breakpoints are rational, so an irrationals trace holds none of them.
+            if code != IRRS:
+                for j in range(lo + 1, hi):
+                    pts[j] = True
+                if c.lo_closed:
+                    pts[lo] = True
+                if c.hi_closed:
+                    pts[hi] = True
         return _from_profile(breaks, gaps, pts)
 
     # -- basic protocol ------------------------------------------------
@@ -226,16 +245,6 @@ class TameSet:
                      if self.pts[j] and self.gaps[j] == NONE and self.gaps[j + 1] == NONE)
 
 
-def _cell_contains(c: Cell, p: Fraction) -> bool:
-    if c.lo < p < c.hi:
-        return c.density in ("full", "rationals")
-    if (p == c.lo and c.lo_closed) or (p == c.hi and c.hi_closed):
-        # Breakpoints are rational, so a closed endpoint of an
-        # irrationals-trace contributes nothing.
-        return c.density in ("full", "rationals")
-    return False
-
-
 def _minimize(gaps: Sequence[int], pts: Sequence[bool]):
     """(keep, gaps, pts) of the minimal profile: the indices of the surviving
     breakpoints and the merged traces and memberships.  Reads no breakpoint."""
@@ -270,49 +279,63 @@ def point(x) -> TameSet:
 # -- profile combinators -------------------------------------------------
 
 
-def _expand(s: TameSet, breaks: Sequence) -> tuple[list[int], list[bool]]:
-    gaps, pts = [], []
-    j = 0
-    for b in breaks:
-        gaps.append(s.gaps[j])
-        if j < len(s.breaks) and b == s.breaks[j]:
-            pts.append(s.pts[j])
-            j += 1
-        else:
-            pts.append(_NATURAL[s.gaps[j]])
-    gaps.append(s.gaps[j])
-    return gaps, pts
+def _aligned(a: TameSet, b: TameSet):
+    """(breaks, ga, pa, gb, pb): both profiles spelled out on the merged breaks.
 
-
-def _merged_breaks(a: TameSet, b: TameSet):
+    One linear walk of the two strictly increasing tuples: each pair of
+    breakpoints is compared once for equality and at most once for order,
+    and once one side runs out its tail is copied with no comparison.  A
+    breakpoint missing from one side takes that side's natural membership
+    in the gap around it.
+    """
     xs, ys = a.breaks, b.breaks
-    if xs == ys:
-        return xs
-    # Linear merge of two strictly increasing tuples: no Fraction is hashed.
-    out = []
+    if xs is ys:
+        return xs, a.gaps, a.pts, b.gaps, b.pts
+    gx, px, gy, py = a.gaps, a.pts, b.gaps, b.pts
+    breaks, ga, pa, gb, pb = [], [], [], [], []
     i = j = 0
     nx, ny = len(xs), len(ys)
     while i < nx and j < ny:
         x, y = xs[i], ys[j]
-        if x == y:
-            out.append(x)
+        ga.append(gx[i])
+        gb.append(gy[j])
+        if x is y or x == y:
+            breaks.append(x)
+            pa.append(px[i])
+            pb.append(py[j])
             i += 1
             j += 1
         elif x < y:
-            out.append(x)
+            breaks.append(x)
+            pa.append(px[i])
+            pb.append(_NATURAL[gy[j]])
             i += 1
         else:
-            out.append(y)
+            breaks.append(y)
+            pa.append(_NATURAL[gx[i]])
+            pb.append(py[j])
             j += 1
-    out.extend(xs[i:])
-    out.extend(ys[j:])
-    return out
+    if i < nx:
+        rest, g = nx - i, gy[j]
+        breaks.extend(xs[i:])
+        ga.extend(gx[i:nx])
+        pa.extend(px[i:])
+        gb.extend([g] * rest)
+        pb.extend([_NATURAL[g]] * rest)
+    elif j < ny:
+        rest, g = ny - j, gx[i]
+        breaks.extend(ys[j:])
+        ga.extend([g] * rest)
+        pa.extend([_NATURAL[g]] * rest)
+        gb.extend(gy[j:ny])
+        pb.extend(py[j:])
+    ga.append(gx[nx])
+    gb.append(gy[ny])
+    return breaks, ga, pa, gb, pb
 
 
 def _combine(a: TameSet, b: TameSet, table, pt_op) -> TameSet:
-    breaks = _merged_breaks(a, b)
-    ga, pa = _expand(a, breaks)
-    gb, pb = _expand(b, breaks)
+    breaks, ga, pa, gb, pb = _aligned(a, b)
     gaps = [table[x][y] for x, y in zip(ga, gb)]
     pts = [pt_op(x, y) for x, y in zip(pa, pb)]
     return _from_profile(breaks, gaps, pts)
@@ -331,9 +354,7 @@ def difference(a: TameSet, b: TameSet) -> TameSet:
 
 
 def is_subset(a: TameSet, b: TameSet) -> bool:
-    breaks = _merged_breaks(a, b)
-    ga, pa = _expand(a, breaks)
-    gb, pb = _expand(b, breaks)
+    _, ga, pa, gb, pb = _aligned(a, b)
     return (all(_LE[x][y] for x, y in zip(ga, gb))
             and all((not x) or y for x, y in zip(pa, pb)))
 

@@ -73,6 +73,17 @@ differ by one rational point inside W1 still come out None: each half is
 undecidable on its own, though together they force False.  That is a known
 completeness defect, pinned by an xfail test and not yet mended.
 
+check_identity decides agreement on tame inputs once per shape (gaps,
+pts).  Two words' images of a tame set select their breakpoints from the
+set's own strictly increasing breakpoints (or from a constant) by keep maps
+that depend on the shape alone, and two tame images are sym_equal exactly
+when their minimal profiles are equal; so the words agree on every
+placement of a shape or on none.  Only agreements are remembered.  A
+disagreement is not a function of the shape (images that differ by one
+rational point are undecidable inside W1 and unequal outside it), and a
+plusV/minusV input is never remembered, since its images depend on where
+its breakpoints lie relative to W0 and W1.
+
 Boolean combinations have one case analysis, in sym_union; intersection
 and difference follow by De Morgan:
 
@@ -415,9 +426,21 @@ def check_identity(lhs: str, rhs: str, sets) -> tuple[int, int, tuple[str, str, 
     Returns (checked, skipped, counterexample).  A set on which either image
     or their comparison is undecidable is skipped, never counted as agreeing;
     the counterexample is the rendered (set, lhs image, rhs image), or None.
+
+    A tame set whose shape (gaps, pts) already agreed counts as checked
+    without evaluating either word: agreement on a tame set is a function
+    of its shape (see the module docstring).  Disagreements and plusV/minusV
+    inputs are not: one rational point of difference is undecidable inside
+    W1 and unequal outside it, and V-mode images depend on where the
+    breakpoints lie relative to W0 and W1.  So neither is remembered.
     """
     checked = skipped = 0
+    agreed = set()  # shapes of tame inputs on which the two sides agreed
     for s in sets:
+        shape = (s.base.gaps, s.base.pts) if s.mode == MODE_TAME else None
+        if shape is not None and shape in agreed:
+            checked += 1
+            continue
         try:
             left = apply_word(lhs, s)
             right = apply_word(rhs, s)
@@ -429,6 +452,8 @@ def check_identity(lhs: str, rhs: str, sets) -> tuple[int, int, tuple[str, str, 
         if not same:
             return checked, skipped, (
                 render_symbolic(s), render_symbolic(left), render_symbolic(right))
+        if shape is not None:
+            agreed.add(shape)
     return checked, skipped, None
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,15 @@ def test_normalize_command(capsys):
     assert code == 0 and out.strip() == "d"
     code, out, _ = run(capsys, "normalize", "dc", "--axioms", "pb")
     assert code == 0 and out.strip() == "cid"
+
+
+def test_package_runs_as_a_module():
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "topomonoid", "normalize", "kid"],
+                          cwd=root, env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "d", "")
 
 
 def test_normalize_bad_word(capsys):

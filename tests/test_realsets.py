@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -178,12 +179,166 @@ def test_combinators_match_cell_normalization():
     shapes = set()
     for a, b in _pairs():
         shapes.add(_shape(a, b))
-        assert list(realsets._merged_breaks(a, b)) == sorted(set(a.breaks) | set(b.breaks))
+        assert list(realsets._aligned(a, b)[0]) == sorted(set(a.breaks) | set(b.breaks))
         assert union(a, b) == TameSet.from_cells(a.cells + b.cells)
         assert intersect(a, b) == complement(
             TameSet.from_cells(complement(a).cells + complement(b).cells))
         assert is_subset(a, b) == (TameSet.from_cells(a.cells + b.cells) == b)
     assert {"equal", "disjoint", "interleaved"} <= shapes
+
+
+# -- the aligned walk and from_cells against the scans they replaced -------------
+
+
+def _merged_breaks_by_scan(a, b):
+    """The merge the aligned walk replaced: merged tuple first, then two expansions."""
+    xs, ys = a.breaks, b.breaks
+    if xs == ys:
+        return xs
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x == y:
+            out.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    return out + list(xs[i:]) + list(ys[j:])
+
+
+def _expand_by_scan(s, breaks):
+    gaps, pts = [], []
+    j = 0
+    for b in breaks:
+        gaps.append(s.gaps[j])
+        if j < len(s.breaks) and b == s.breaks[j]:
+            pts.append(s.pts[j])
+            j += 1
+        else:
+            pts.append(realsets._NATURAL[s.gaps[j]])
+    gaps.append(s.gaps[j])
+    return gaps, pts
+
+
+def _fresh(s):
+    """s with every breakpoint a new Fraction object equal to the old one."""
+    return TameSet._raw([Fraction(b.numerator, b.denominator) for b in s.breaks],
+                        s.gaps, s.pts)
+
+
+def _aligned_pairs():
+    sets = rnd(200, 6000)
+    pairs = list(zip(sets, sets[1:]))
+    pairs += [(s, s) for s in sets[:20]]
+    # A different tuple holding the very same breakpoint objects.
+    pairs += [(s, TameSet._raw(list(s.breaks), complement(s).gaps, complement(s).pts))
+              for s in sets[20:40]]
+    # Equal breakpoints that are different Fraction objects.
+    pairs += [(s, _fresh(union(s, t))) for s, t in zip(sets[40:80], sets[80:120])]
+    pairs += [(_fresh(s), s) for s in sets[120:140]]
+    pairs += [(s, realsets.EMPTY) for s in sets[140:160]]
+    pairs += [(realsets.REALS, s) for s in sets[160:180]]
+    pairs += [(realsets.EMPTY, realsets.RATIONALS)]
+    pairs += [(interval(Fraction(17, 2), 9), point(Fraction(17, 2)))]
+    return pairs
+
+
+def test_aligned_walk_matches_merge_then_expand():
+    kinds = set()
+    for a, b in _aligned_pairs():
+        kinds.add(_shape(a, b))
+        for x in a.breaks:
+            for y in b.breaks:
+                if x is y:
+                    kinds.add("same object")
+                elif x == y:
+                    kinds.add("equal objects")
+        breaks, ga, pa, gb, pb = realsets._aligned(a, b)
+        expected = _merged_breaks_by_scan(a, b)
+        assert list(breaks) == list(expected)
+        assert (list(ga), list(pa)) == _expand_by_scan(a, expected)
+        assert (list(gb), list(pb)) == _expand_by_scan(b, expected)
+    assert {"equal", "disjoint", "interleaved", "one empty",
+            "same object", "equal objects"} <= kinds
+
+
+def _from_cells_by_scan(cells):
+    """The normalization from_cells replaced: every gap and breakpoint against every cell."""
+    breaks = sorted({c.lo for c in cells if isinstance(c.lo, Fraction)}
+                    | {c.hi for c in cells if isinstance(c.hi, Fraction)})
+    gaps = []
+    for i in range(len(breaks) + 1):
+        lo = breaks[i - 1] if i > 0 else realsets.NEG_INF
+        hi = breaks[i] if i < len(breaks) else realsets.INF
+        t = realsets.NONE
+        for c in cells:
+            if c.lo <= lo and hi <= c.hi and c.lo < c.hi:
+                t = realsets._UNION[t][realsets.DENSITY_CODES[c.density]]
+        gaps.append(t)
+
+    def contains(c, p):
+        if c.lo < p < c.hi or (p == c.lo and c.lo_closed) or (p == c.hi and c.hi_closed):
+            return c.density in ("full", "rationals")
+        return False
+
+    pts = [any(contains(c, b) for c in cells) for b in breaks]
+    return realsets._from_profile(breaks, gaps, pts)
+
+
+def _random_cells(rng):
+    """1-6 cells over a coarse grid, so overlapping, nested and touching cells are common."""
+    grid = [Fraction(m, 2) for m in range(-6, 7)]
+    cells = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.2:
+            x = rng.choice(grid)
+            cells.append(Cell(x, x, True, True, "full"))
+            continue
+        lo, hi = sorted(rng.sample(grid, 2))
+        lo = realsets.NEG_INF if rng.random() < 0.1 else lo
+        hi = realsets.INF if rng.random() < 0.1 else hi
+        cells.append(Cell(lo, hi, lo != realsets.NEG_INF and rng.random() < 0.5,
+                          hi != realsets.INF and rng.random() < 0.5,
+                          rng.choice(("full", "rationals", "irrationals"))))
+    return cells
+
+
+def _cell_relations(cells):
+    seen = set()
+    spans = [c for c in cells if c.lo < c.hi]
+    seen.update(c.density for c in spans)
+    if len(spans) < len(cells):
+        seen.add("singleton")
+    if any(c.lo == realsets.NEG_INF or c.hi == realsets.INF for c in spans):
+        seen.add("infinite")
+    for c in spans:
+        for d in spans:
+            if c is d:
+                continue
+            if c.hi == d.lo:
+                seen.add("touching")
+            elif c.lo < d.lo and d.hi < c.hi:
+                seen.add("nested")
+            elif c.lo < d.lo < c.hi < d.hi:
+                seen.add("overlapping")
+    return seen
+
+
+def test_from_cells_matches_the_cell_by_gap_scan():
+    rng = random.Random("from_cells")
+    seen = set()
+    for _ in range(2000):
+        cells = _random_cells(rng)
+        seen |= _cell_relations(cells)
+        assert TameSet.from_cells(cells) == _from_cells_by_scan(cells), cells
+    assert {"full", "rationals", "irrationals", "singleton", "infinite",
+            "touching", "nested", "overlapping"} <= seen
 
 
 def test_hash_is_computed_on_first_use():
@@ -282,3 +437,40 @@ def test_apply_word_walks_like_the_letter_fold():
     assert apply_word("kc" * 3, s) is not s and apply_word("cc", s) is s
     with pytest.raises(ValueError, match="unknown operator letter 'x'"):
         apply_word("kx", s)
+
+
+# -- boolean and Kuratowski laws on drawn sets ------------------------------------
+
+
+@st.composite
+def tame_sets(draw):
+    """A minimal TameSet on a coarse grid, so two draws often share breakpoints;
+    each draw builds new Fraction objects, equal but not identical to another's."""
+    numerators = sorted(draw(st.lists(st.integers(-8, 8), max_size=6, unique=True)))
+    n = len(numerators)
+    gaps = draw(st.lists(st.sampled_from(range(4)), min_size=n + 1, max_size=n + 1))
+    pts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return realsets._from_profile([Fraction(m, 2) for m in numerators], gaps, pts)
+
+
+@LOCAL
+@given(tame_sets(), tame_sets(), tame_sets())
+def test_boolean_laws(a, b, c):
+    assert union(a, b) == union(b, a)
+    assert intersect(a, b) == intersect(b, a)
+    assert union(union(a, b), c) == union(a, union(b, c))
+    assert intersect(intersect(a, b), c) == intersect(a, intersect(b, c))
+    assert complement(union(a, b)) == intersect(complement(a), complement(b))
+    assert complement(intersect(a, b)) == union(complement(a), complement(b))
+    assert is_subset(a, b) == (union(a, b) == b) == (intersect(a, b) == a)
+
+
+@LOCAL
+@given(tame_sets(), tame_sets())
+def test_kuratowski_and_baire_laws(a, b):
+    ka = closure(a)
+    assert closure(union(a, b)) == union(ka, closure(b))
+    assert is_subset(a, ka)
+    assert closure(ka) == ka
+    assert closure(realsets.EMPTY) == realsets.EMPTY
+    assert second_category(union(a, b)) == union(second_category(a), second_category(b))

@@ -154,6 +154,75 @@ def test_check_identity_skips_undecidable_sets():
     assert check_identity("k", "i", [s, V]) == (1, 1, ("V", "[8,10]", "{}"))
 
 
+def _shape(s):
+    return s.base.gaps, s.base.pts
+
+
+def test_check_identity_does_not_remember_disagreements():
+    # One shape, two outcomes: k and i differ by the point 17/2 inside W1
+    # (undecidable) and by the point 3 outside it (decidably different).
+    sets = [tame(point(Fraction(17, 2))), tame(point(3))]
+    assert _shape(sets[0]) == _shape(sets[1])
+    assert check_identity("k", "i", sets) == (1, 1, ("{3}", "{3}", "{}"))
+
+
+def test_check_identity_does_not_remember_plus_or_minus_v_inputs():
+    arc = interval(Fraction(33, 4), Fraction(67, 8))
+    outside = minus_v(union(arc, point(11)))
+    inside = minus_v(union(arc, point(Fraction(17, 2))))
+    assert render_symbolic(inside) == "(33/4,67/8) u {17/2} ∖ V"
+    assert _shape(outside) == _shape(inside)
+    assert check_identity("k", "kk", [outside, inside]) == (1, 1, None)
+    assert check_identity("k", "kk", [inside, outside]) == (1, 1, None)
+
+
+def test_check_identity_evaluates_each_tame_shape_once(monkeypatch):
+    sets = [s for s in build_corpus(300, seed=4100).all_sets() if s.is_tame()]
+    shapes = {_shape(s) for s in sets}
+    assert len(shapes) < len(sets)
+    calls = []
+
+    def counting_apply_word(word, s):
+        calls.append(word)
+        return apply_word(word, s)
+
+    monkeypatch.setattr(vitali, "apply_word", counting_apply_word)
+    assert check_identity("kikik", "kik", sets) == (len(sets), 0, None)
+    assert len(calls) <= 2 * len(shapes)
+
+
+def _check_identity_set_by_set(lhs, rhs, sets):
+    """check_identity without the per-shape memo: both words on every set."""
+    checked = skipped = 0
+    for s in sets:
+        try:
+            left, right = apply_word(lhs, s), apply_word(rhs, s)
+            same = sym_equal(left, right)
+        except Undecidable:
+            skipped += 1
+            continue
+        checked += 1
+        if not same:
+            return checked, skipped, (
+                render_symbolic(s), render_symbolic(left), render_symbolic(right))
+    return checked, skipped, None
+
+
+def test_check_identity_matches_the_set_by_set_check():
+    sets = build_corpus(200, seed=4200).all_sets()
+    sets += [tame(point(Fraction(17, 2))), tame(point(3)),
+             minus_v(union(interval(8, 9), point(Fraction(19, 2))))]
+    pairs = [("kikik", "kik"), ("fkik", "fik"), ("fkik", "fki"), ("k", "i"),
+             ("k", "kk"), ("dk", "kd"), ("cdc", "i"), ("dd", "d"), ("f", "ff")]
+    outcomes = set()
+    for lhs, rhs in pairs:
+        for order in (sets, sets[::-1]):
+            got = check_identity(lhs, rhs, order)
+            assert got == _check_identity_set_by_set(lhs, rhs, order), (lhs, rhs)
+            outcomes.add((got[1] > 0, got[2] is None))
+    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
+
+
 def test_combinations():
     assert sym_union(V, tame(interval(0, 1))) == plus_v(interval(0, 1))
     assert sym_intersect(V, CV) == tame(realsets.EMPTY)
