@@ -163,7 +163,10 @@ class _Parser:
             return realsets.INF, pos
         if val == "-inf":
             return realsets.NEG_INF, pos
-        return Fraction(val), pos
+        try:
+            return Fraction(val), pos
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {val!r}", position=pos) from None
 
     def interval(self, density: str) -> Cell:
         opener, pos = self.take(kind="punct")

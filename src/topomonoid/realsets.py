@@ -45,6 +45,22 @@ bools, so no Fraction is hashed or compared.  The TameSet operators are
 thin wrappers around one step; `apply_word` walks a whole word on the
 shape, composes the keep maps and builds one TameSet at the end.
 
+Universal witness.  By the lemma, the image of a set under a word over
+kicdf01 has, on each gap, a trace that depends only on the gap's trace,
+and at each breakpoint a membership that depends only on its triple; a
+rational point inside a gap of trace g acts as the triple (g, natural(g),
+g).  Two words therefore agree on every tame set exactly when they agree
+on one set whose unminimized profile shows all 4 traces and all 32
+triples.  UNIVERSAL is such a set.  Let B = 0,0,1,0,2,0,3,1,1,2,1,3,2,2,
+3,3 be the cyclic de Bruijn sequence over NONE, FULL, RATS, IRRS: read
+cyclically, its 16 windows (B[j], B[j+1]) are all 16 pairs of traces.  U
+has the 33 gaps B + B + B[:1] around the breakpoints 21, ..., 52; the
+first 16 breakpoints are outside the set and the last 16 inside, so
+breakpoint j carries the triple (B[j mod 16], j >= 16, B[j+1 mod 16]) and
+every triple occurs once.  Minimization drops the four triples (g,
+natural(g), g), which leaves 28 breakpoints; the dropped ones survive as
+rational points inside gaps, with the same triples.
+
 Breakpoints are compared as little as the algebra allows.  Each binary
 operation (union, intersection, subset) makes one aligned walk, `_aligned`,
 over the two sorted breakpoint tuples: it yields the merged breakpoints and
@@ -266,6 +282,15 @@ EMPTY = TameSet._raw((), (NONE,), ())
 REALS = TameSet._raw((), (FULL,), ())
 RATIONALS = TameSet._raw((), (RATS,), ())
 IRRATIONALS = TameSet._raw((), (IRRS,), ())
+
+# The universal witness U (see the module docstring): the cyclic de Bruijn
+# sequence B of the trace pairs gives the 33 gaps B + B + B[:1] around the
+# breakpoints 21..52, which are members exactly from the 17th on.
+_DE_BRUIJN = (NONE, NONE, FULL, NONE, RATS, NONE, IRRS, FULL,
+              FULL, RATS, FULL, IRRS, RATS, RATS, IRRS, IRRS)
+UNIVERSAL = _from_profile([Fraction(b) for b in range(21, 53)],
+                          _DE_BRUIJN * 2 + _DE_BRUIJN[:1],
+                          [j >= 16 for j in range(32)])
 
 
 def interval(lo, hi, lo_closed=False, hi_closed=False, density="full") -> TameSet:

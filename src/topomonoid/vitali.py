@@ -73,16 +73,20 @@ differ by one rational point inside W1 still come out None: each half is
 undecidable on its own, though together they force False.  That is a known
 completeness defect, pinned by an xfail test and not yet mended.
 
-check_identity decides agreement on tame inputs once per shape (gaps,
-pts).  Two words' images of a tame set select their breakpoints from the
-set's own strictly increasing breakpoints (or from a constant) by keep maps
-that depend on the shape alone, and two tame images are sym_equal exactly
-when their minimal profiles are equal; so the words agree on every
-placement of a shape or on none.  Only agreements are remembered.  A
-disagreement is not a function of the shape (images that differ by one
-rational point are undecidable inside W1 and unequal outside it), and a
-plusV/minusV input is never remembered, since its images depend on where
-its breakpoints lie relative to W0 and W1.
+check_identity decides agreement on all tame inputs at once, on the
+universal witness realsets.UNIVERSAL (U), and this is exact in both
+directions.  If the two images of U are equal, the words agree on every
+tame set: by the locality lemma each image's trace on a gap is a function
+of the gap's trace and its membership at a point a function of the point's
+(trace, membership, trace) triple, and U shows all 4 traces and all 32
+triples; two tame images are sym_equal when their minimal profiles are
+equal, which for tame sets is set equality.  If the images of U differ, U
+itself is a tame set on which the words disagree, so no tame input is
+counted as checked without being evaluated: each is evaluated as before,
+because whether a given set refutes the identity or is undecidable
+(images that differ by one rational point inside W1) depends on the set.
+plusV/minusV inputs are always evaluated, since their images depend on
+where their breakpoints lie relative to W0 and W1, which U does not cover.
 
 Boolean combinations have one case analysis, in sym_union; intersection
 and difference follow by De Morgan:
@@ -427,20 +431,22 @@ def check_identity(lhs: str, rhs: str, sets) -> tuple[int, int, tuple[str, str, 
     or their comparison is undecidable is skipped, never counted as agreeing;
     the counterexample is the rendered (set, lhs image, rhs image), or None.
 
-    A tame set whose shape (gaps, pts) already agreed counts as checked
-    without evaluating either word: agreement on a tame set is a function
-    of its shape (see the module docstring).  Disagreements and plusV/minusV
-    inputs are not: one rational point of difference is undecidable inside
-    W1 and unequal outside it, and V-mode images depend on where the
-    breakpoints lie relative to W0 and W1.  So neither is remembered.
+    At the first tame input both words are walked once on the universal
+    witness U.  If the images are equal, the words agree on every tame set
+    (see the module docstring), so each tame input counts as checked
+    without evaluating either word.  Otherwise tame inputs are evaluated
+    one by one, like plusV/minusV inputs always are.
     """
     checked = skipped = 0
-    agreed = set()  # shapes of tame inputs on which the two sides agreed
+    agree_on_tame = None  # decided on U at the first tame input
     for s in sets:
-        shape = (s.base.gaps, s.base.pts) if s.mode == MODE_TAME else None
-        if shape is not None and shape in agreed:
-            checked += 1
-            continue
+        if s.mode == MODE_TAME:
+            if agree_on_tame is None:
+                u = realsets.UNIVERSAL
+                agree_on_tame = realsets.apply_word(lhs, u) == realsets.apply_word(rhs, u)
+            if agree_on_tame:
+                checked += 1
+                continue
         try:
             left = apply_word(lhs, s)
             right = apply_word(rhs, s)
@@ -452,8 +458,6 @@ def check_identity(lhs: str, rhs: str, sets) -> tuple[int, int, tuple[str, str, 
         if not same:
             return checked, skipped, (
                 render_symbolic(s), render_symbolic(left), render_symbolic(right))
-        if shape is not None:
-            agreed.add(shape)
     return checked, skipped, None
 
 

@@ -144,6 +144,17 @@ def test_verify_rejects_an_unwritable_json_path_before_running(capsys, tmp_path,
     assert (tmp_path / "file").read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "k", "--set", "{1/0}"),
+    ("eval", "k", "--set", "(0,1/0)"),
+    ("--w0", "(1/0,2)", "normalize", "k"),
+], ids=["point", "interval-end", "w0"])
+def test_zero_denominator_is_an_error_not_a_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "zero denominator" in err and "position" in err
+
+
 def test_tables_are_deterministic():
     assert even_figure() == even_figure()
     assert vitali_figure() == vitali_figure()

@@ -66,6 +66,12 @@ def test_dsl_error_position():
     assert exc.value.position == 12
 
 
+def test_dsl_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError, match="zero denominator") as exc:
+        parse_set_dsl("(0,1) u (2,7/0)")
+    assert exc.value.position == 12
+
+
 def test_random_tame_deterministic():
     assert random_tame(7, 4) == random_tame(7, 4)
     distinct = {random_tame(seed, 4) for seed in range(100)}

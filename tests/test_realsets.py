@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -474,3 +475,42 @@ def test_kuratowski_and_baire_laws(a, b):
     assert closure(ka) == ka
     assert closure(realsets.EMPTY) == realsets.EMPTY
     assert second_category(union(a, b)) == union(second_category(a), second_category(b))
+
+
+# -- the universal witness U ------------------------------------------------------
+
+
+def _spelled_out(s, breaks):
+    """(gaps, pts) of s on a superset of its breakpoints, read by scanning."""
+    gaps = [s.gaps[sum(1 for b in s.breaks if b <= lo)] for lo in [realsets.NEG_INF, *breaks]]
+    return gaps, [s.contains(b) for b in breaks]
+
+
+def test_universal_witness_shows_every_trace_and_triple():
+    u = realsets.UNIVERSAL
+    breaks = [Fraction(b) for b in range(21, 53)]
+    gaps, pts = _spelled_out(u, breaks)
+    assert len(gaps) == 33 and len(pts) == 32
+    assert set(gaps) == set(range(4))
+    triples = {(gaps[j], pts[j], gaps[j + 1]) for j in range(32)}
+    assert len(triples) == 32
+    assert len(u.breaks) == 28 and set(u.breaks) <= set(breaks)
+
+
+words_over_kicdf01 = st.text(alphabet="kicdf01", max_size=6)
+
+# Two random words rarely agree on U and yet act differently on a set: with
+# one triple dropped from U, about 3 in 10,000 pairs of words of length at
+# most 4 would.  So the drawn words are checked together with every word of
+# length at most 3 over kicdf01.
+SHORT_WORDS = tuple("".join(p) for n in range(4) for p in itertools.product("kicdf01", repeat=n))
+
+
+@LOCAL
+@given(words_over_kicdf01, words_over_kicdf01, tame_sets())
+def test_agreement_on_the_universal_witness_is_agreement_everywhere(w, v, s):
+    first = {}  # image on U -> (first word with that image, its image on s)
+    for x in (w, v, *SHORT_WORDS):
+        on_u, on_s = apply_word(x, realsets.UNIVERSAL), apply_word(x, s)
+        y, on_s_y = first.setdefault(on_u, (x, on_s))
+        assert on_s == on_s_y, (x, y, render(s))

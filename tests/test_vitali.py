@@ -176,23 +176,29 @@ def test_check_identity_does_not_remember_plus_or_minus_v_inputs():
     assert check_identity("k", "kk", [inside, outside]) == (1, 1, None)
 
 
-def test_check_identity_evaluates_each_tame_shape_once(monkeypatch):
-    sets = [s for s in build_corpus(300, seed=4100).all_sets() if s.is_tame()]
-    shapes = {_shape(s) for s in sets}
-    assert len(shapes) < len(sets)
-    calls = []
+def test_check_identity_decides_tame_inputs_on_the_universal_witness(monkeypatch):
+    sets = build_corpus(300, seed=4100).all_sets()
+    v_mode = [s for s in sets if not s.is_tame()]
+    assert v_mode and len(v_mode) < len(sets)
+    evaluated = []
 
-    def counting_apply_word(word, s):
-        calls.append(word)
+    def recording_apply_word(word, s):
+        evaluated.append(s)
         return apply_word(word, s)
 
-    monkeypatch.setattr(vitali, "apply_word", counting_apply_word)
+    monkeypatch.setattr(vitali, "apply_word", recording_apply_word)
+    # The words agree on U: no tame input is evaluated, every V-mode input is.
     assert check_identity("kikik", "kik", sets) == (len(sets), 0, None)
-    assert len(calls) <= 2 * len(shapes)
+    assert evaluated == [s for s in v_mode for _ in ("lhs", "rhs")]
+    # They differ on U: tame inputs are evaluated one by one.
+    evaluated.clear()
+    tame_point = tame(point(3))
+    assert check_identity("k", "i", [tame_point]) == (1, 0, ("{3}", "{3}", "{}"))
+    assert evaluated == [tame_point, tame_point]
 
 
 def _check_identity_set_by_set(lhs, rhs, sets):
-    """check_identity without the per-shape memo: both words on every set."""
+    """check_identity with nothing decided on U: both words on every set."""
     checked = skipped = 0
     for s in sets:
         try:
