@@ -95,6 +95,15 @@ def _params(args) -> VitaliParams:
     return VitaliParams.make(w0.base, w1.base)
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError for an unwritable output path, before any work is done."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise PermissionError(f"cannot write {path}: its directory is missing or read-only")
+
+
 def _cmd_normalize(args, params) -> int:
     ax = get_axioms(args.axioms)
     print(render_word(normalize(parse_word(args.word), ax)))
@@ -138,6 +147,8 @@ def _cmd_distinguish(args, params) -> int:
 
 
 def _cmd_poset(args, params) -> int:
+    if args.dot:
+        _check_writable(args.dot)
     ax = get_axioms(args.axioms)
     elements = enumerate_monoid("kcd", ax).elements
     evens = tuple(w for w in elements if parity(w) == "even")
@@ -185,12 +196,8 @@ def _cmd_table(args, params) -> int:
 
 
 def _cmd_verify(args, params) -> int:
-    if args.json:  # fail before the suite runs, not after it
-        if os.path.isdir(args.json):
-            raise IsADirectoryError(f"{args.json} is a directory")
-        parent = os.path.dirname(os.path.abspath(args.json))
-        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-            raise PermissionError(f"cannot write {args.json}: its directory is missing or read-only")
+    if args.json:
+        _check_writable(args.json)
     report = verify_mod.run_verify(args.corpus_size, args.seed, params)
     print(report.format_text())
     if args.json:

@@ -202,6 +202,8 @@ def parse_set_dsl(text: str, params: VitaliParams = DEFAULT_PARAMS) -> SymbolicS
     def term():
         nonlocal v_count
         kind, val, pos = p.peek()
+        if kind is None:
+            raise ParseError("unexpected end of set expression")
         if val == "V":
             p.take()
             v_count += 1
@@ -217,8 +219,10 @@ def parse_set_dsl(text: str, params: VitaliParams = DEFAULT_PARAMS) -> SymbolicS
             if p.peek()[1] == "}":
                 p.take()
                 return  # "{}": the empty set contributes nothing
-            x, _ = p.number()
+            x, xpos = p.number()
             p.take(value="}")
+            if not isinstance(x, Fraction):
+                raise ParseError("a point must be finite", position=xpos)
             cells.append(Cell(x, x, True, True, "full"))
             return
         if val in "([":

@@ -19,7 +19,10 @@ The evaluation universe is then
 
 which is closed under k, i, c, d, f:
 
-  * c swaps plusV and minusV over the complemented base.
+  * c swaps plusV and minusV over cB with no collapse check: a plusV(B)
+    that did not collapse has W1 not inside B, so cB meets W1 and
+    minusV(cB) does not collapse either; conversely a minusV(B) that did
+    not collapse has B meeting W1, so W1 is not inside cB.
   * k(plusV(B)) = kB u kW1 by additivity of closure.
   * k(minusV(B)) = kB.  Justification, cell by cell of B: a full or
     irrationals cell stays dense in its span after removing V because
@@ -43,12 +46,14 @@ apply_word folds a word right to left.  While the image is plusV or
 minusV, each letter goes through sym_apply behind a value cache keyed on
 (letter, SymbolicSet).  That prefix is at most a run of c's plus one more
 letter, because k, d, f and i = ckc always give a tame image, and it is
-the only place Undecidable can arise.  From the first tame image on, the
-rest of the word is one realsets.apply_word walk on the profile's shape.
-That walk is exact: sym_apply on tame(B) is tame of the realsets operator
-on B, and by the locality lemma (see realsets) composing the shape steps
-and their keep maps gives the very profile the letter-by-letter fold
-builds.  Tame steps therefore never reach the value cache.
+the only place Undecidable can arise; k, d and f on a plusV set merge
+breakpoints with kW1 or kW0, which the cache spares the words applied to
+one set.  From the first tame image on, the rest of the word is one
+realsets.apply_word walk on the profile's shape.  That walk is exact:
+sym_apply on tame(B) is tame of the realsets operator on B, and by the
+locality lemma (see realsets) composing the shape steps and their keep
+maps gives the very profile the letter-by-letter fold builds.  Tame steps
+therefore never reach the value cache.
 
 Comparisons reduce to two questions about a tame remainder R:
 
@@ -93,12 +98,11 @@ and difference follow by De Morgan:
 
     A & B = c(cA u cB)        A minus B = c(cA u B)
 
-This is exact because c is an involution on canonical symbolic sets: a
-plusV(B) that did not collapse has W1 not inside B, so its complement
-minusV(cB) meets W1 and does not collapse either, and conversely.  Every
-case of the intersection is a case of the union with plusV and minusV
-swapped, and the union's "tame part partly meets W1" raise asks the same
-two questions (does V miss T?  does V miss cT?) with T and cT exchanged.
+This is exact because c is an involution on canonical symbolic sets (the
+no-collapse argument in the c bullet above).  Every case of the
+intersection is a case of the union with plusV and minusV swapped, and
+the union's "tame part partly meets W1" raise asks the same two questions
+(does V miss T?  does V miss cT?) with T and cT exchanged.
 """
 
 from __future__ import annotations
@@ -212,9 +216,9 @@ def sym_apply(letter: str, s: SymbolicSet) -> SymbolicSet:
     if s.mode == MODE_TAME:
         return tame(realsets.apply_letter(letter, s.base))
     params = s.params
-    if letter == "c":
-        flip = minus_v if s.mode == MODE_PLUS else plus_v
-        return flip(complement(s.base), params)
+    if letter == "c":  # never collapses (module docstring)
+        mode = MODE_MINUS if s.mode == MODE_PLUS else MODE_PLUS
+        return SymbolicSet(complement(s.base), mode, params)
     if letter == "k":
         if s.mode == MODE_PLUS:
             return tame(union(closure(s.base), params.kw1))

@@ -155,6 +155,28 @@ def test_zero_denominator_is_an_error_not_a_traceback(capsys, argv):
     assert err.startswith("error: ") and "zero denominator" in err and "position" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "k", "--set", "(0,1) u"),
+    ("eval", "k", "--set", "V u"),
+    ("--w0", "(8,9) u", "normalize", "k"),
+], ids=["tame", "atom", "w0"])
+def test_trailing_union_is_an_error_not_a_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: unexpected end of set expression\n"
+
+
+def test_poset_rejects_an_unwritable_dot_path_before_computing(capsys, tmp_path, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("poset computed for an unwritable --dot path")
+
+    monkeypatch.setattr("topomonoid.cli.enumerate_monoid", must_not_run)
+    code, out, err = run(capsys, "poset", "--dot", str(tmp_path / "missing-dir" / "h.dot"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tables_are_deterministic():
     assert even_figure() == even_figure()
     assert vitali_figure() == vitali_figure()

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topomonoid.corpus import WITNESS_NAMES, build_corpus, parse_set_dsl, random_tame, witness
 from topomonoid.realsets import interval, render
-from topomonoid.vitali import render_symbolic
+from topomonoid.vitali import SymbolicSet, render_symbolic
 from topomonoid.words import ParseError
 
 
@@ -55,6 +57,9 @@ def test_dsl_rejections():
         ("Q{4}", "trace of a point"),
         ("V \\ V", "atom on both sides"),
         ("hello", "garbage"),
+        ("(0,1) u", "trailing u"),
+        ("V u", "trailing u after the atom"),
+        ("{inf}", "infinite point"),
     ]:
         with pytest.raises(ParseError):
             parse_set_dsl(text)
@@ -70,6 +75,47 @@ def test_dsl_zero_denominator_is_a_parse_error():
     with pytest.raises(ParseError, match="zero denominator") as exc:
         parse_set_dsl("(0,1) u (2,7/0)")
     assert exc.value.position == 12
+
+
+# Numbers include those the grammar cannot use everywhere: a zero
+# denominator, and infinities inside braces or at a closed end.
+_NUMBERS = ("0", "3", "-7/2", "0.5", "17/2", "1/0", "inf", "-inf")
+_DSL_TOKENS = ("(", "[", ")", "]", "{", "}", ",", "u", "Q", "I", "V", "∖ V", "\\ V", "∖",
+               *_NUMBERS)
+
+
+@st.composite
+def _dsl_term(draw):
+    kind = draw(st.sampled_from(("interval", "point", "{}", "Q", "I", "V")))
+    if kind in ("{}", "V"):
+        return kind
+    num = st.sampled_from(_NUMBERS)
+    if kind == "point":
+        return "{%s}" % draw(num)
+    body = "%s%s,%s%s" % (draw(st.sampled_from("([")), draw(num), draw(num),
+                          draw(st.sampled_from(")]")))
+    return body if kind == "interval" else kind + body
+
+
+# Token soup, and terms joined by "u" with a well-formed or truncated tail.
+_DSL_TEXTS = st.one_of(
+    st.builds(str.join, st.sampled_from(("", " ")),
+              st.lists(st.sampled_from(_DSL_TOKENS), max_size=10)),
+    st.builds(lambda terms, tail: " u ".join(terms) + tail,
+              st.lists(_dsl_term(), max_size=4),
+              st.sampled_from(("", " u", " ∖ V", " \\ V", " ∖", " u u", " V"))),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_DSL_TEXTS)
+@example("V u")
+def test_dsl_returns_a_set_or_raises_parse_error(text):
+    try:
+        s = parse_set_dsl(text)
+    except ParseError:
+        return
+    assert isinstance(s, SymbolicSet)
 
 
 def test_random_tame_deterministic():

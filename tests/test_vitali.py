@@ -425,6 +425,21 @@ def test_intersection_and_difference_match_the_case_analysis(params):
     assert outcomes == {"tame", "plusV", "minusV", Undecidable}
 
 
+@pytest.mark.parametrize("params", [
+    vitali.DEFAULT_PARAMS, VitaliParams.make(interval(-2, -1), interval(-3, 5))],
+    ids=["default", "custom"])
+def test_complement_of_a_plus_or_minus_v_set_never_collapses(params):
+    # The oracle is c as it was defined, through the collapsing constructors.
+    modes = set()
+    for s in _de_morgan_pool(params, 9200):
+        if s.is_tame():
+            continue
+        flip = minus_v if s.mode == "plusV" else plus_v
+        assert sym_apply("c", s) == flip(realsets.complement(s.base), params), s
+        modes.add(s.mode)
+    assert modes == {"plusV", "minusV"}
+
+
 # -- apply_word against the uncached letter-by-letter fold ------------------------
 
 
