@@ -21,13 +21,15 @@ import os
 import sys
 
 from . import corpus as corpus_mod
+from . import realsets
 from . import verify as verify_mod
 from .monoid import enumerate_monoid, parity
 from .poset import corpus_relation, emit_dot, hasse, proved_relation
 from .rewrite import ReductionBudgetError, normalize
 from .rules import get_axioms
 from .tables import even_figure, format_rows, kfd_counts, vitali_figure
-from .vitali import Undecidable, VitaliParams, apply_word, distinguish, render_symbolic
+from .vitali import (DEFAULT_PARAMS, Undecidable, VitaliParams, apply_word, distinguish,
+                     render_symbolic)
 from .words import ParseError, parse_word, render_word
 
 
@@ -45,10 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="topomonoid",
         description="monoids of topological set operators, evaluated exactly on the real line")
-    p.add_argument("--w0", default="(8,9)", metavar="INTERVAL",
-                   help="Vitali parameter W0 (open; default (8,9))")
-    p.add_argument("--w1", default="(8,10)", metavar="INTERVAL",
-                   help="Vitali parameter W1 (open; default (8,10))")
+    p.add_argument("--w0", default=realsets.render(DEFAULT_PARAMS.w0), metavar="INTERVAL",
+                   help="Vitali parameter W0 (open; default %(default)s)")
+    p.add_argument("--w1", default=realsets.render(DEFAULT_PARAMS.w1), metavar="INTERVAL",
+                   help="Vitali parameter W1 (open; default %(default)s)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("normalize", help="canonical form of an operator word")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rewrite import normalize
+from .rewrite import completion_check, normalize
 from .rules import AxiomSystem
 from .words import LETTERS, render_word, word_sort_key
 
@@ -38,7 +38,8 @@ def enumerate_monoid(gens, ax: AxiomSystem) -> MonoidTable:
 
     Any product g1...gn is reached by left-multiplying in reverse order, so
     the closure is the whole generated monoid; the result is sorted and
-    therefore independent of traversal order.
+    therefore independent of traversal order.  completion_check confirms
+    both-sided closure before the Cayley rows are read off.
     """
     gens = tuple(sorted(set(gens)))
     for g in gens:
@@ -56,21 +57,12 @@ def enumerate_monoid(gens, ax: AxiomSystem) -> MonoidTable:
                     nxt.append(u)
         frontier = nxt
     elements = tuple(sorted(seen, key=word_sort_key))
+    report = completion_check(ax, gens, elements)
+    if not report.ok:
+        raise ValueError(f"monoid not closed: {report.failures[0]}")
     index = {w: i for i, w in enumerate(elements)}
-
-    def row(products) -> tuple[int, ...]:
-        out = []
-        for p in products:
-            u = normalize(p, ax)
-            if u not in index:
-                raise ValueError(
-                    f"monoid not closed: {render_word(p)} reduces to "
-                    f"{render_word(u)} outside the canonical set")
-            out.append(index[u])
-        return tuple(out)
-
-    left = {g: row(g + w for w in elements) for g in gens}
-    right = {g: row(w + g for w in elements) for g in gens}
+    left = {g: tuple(index[normalize(g + w, ax)] for w in elements) for g in gens}
+    right = {g: tuple(index[normalize(w + g, ax)] for w in elements) for g in gens}
     return MonoidTable(gens, ax.name, elements, left, right)
 
 

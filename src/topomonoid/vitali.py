@@ -10,7 +10,8 @@ V is never constructed.  It is a formal atom subject to the axioms
     every open U meets the complement of V in a nonmeager set
     (hence cV is dense and d(cV) = k(cV) = R),
 
-for session parameters W0 subset of W1, both open with rational endpoints.
+for session parameters W0 subset of W1, both open with rational endpoints,
+W0 nonempty (V's rational translates cover R, so V is nonmeager by Baire).
 The evaluation universe is then
 
     tame(B)    = B            (a TameSet)
@@ -121,7 +122,7 @@ class Undecidable(Exception):
 
 @dataclass(frozen=True)
 class VitaliParams:
-    """Session parameters of the atom: open W0 subset of W1, W1 nonempty."""
+    """Session parameters of the atom: open W0 subset of W1, W0 nonempty."""
 
     w0: TameSet
     w1: TameSet
@@ -132,8 +133,9 @@ class VitaliParams:
     def make(cls, w0: TameSet, w1: TameSet) -> "VitaliParams":
         if not w0.is_open() or not w1.is_open():
             raise ValueError("W0 and W1 must be open")
-        if w1.is_empty():
-            raise ValueError("W1 must be nonempty")
+        if w0.is_empty():
+            raise ValueError("W0 must be nonempty: V is nonmeager (its rational "
+                             "translates cover R), so dV = kW0 is not empty")
         if not realsets.is_subset(w0, w1):
             raise ValueError("W0 must be a subset of W1")
         return cls(w0, w1, closure(w0), closure(w1))

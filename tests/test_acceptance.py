@@ -54,3 +54,9 @@ def test_json_report_matches_golden_file(report):
     golden = Path(__file__).parent / "data" / "verify_default.json"
     text = json.dumps(report.to_json(), indent=2, sort_keys=False) + "\n"
     assert text == golden.read_text(encoding="utf-8")
+
+
+def test_text_report_matches_golden_file(report):
+    # The file is `topomonoid verify` stdout at the default corpus and seed.
+    golden = Path(__file__).parent / "data" / "verify_default.txt"
+    assert report.format_text() + "\n" == golden.read_text(encoding="utf-8")

@@ -104,6 +104,16 @@ def test_custom_vitali_params(capsys):
     assert code == 0 and out.strip() == "[0,1]"
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "d", "--witness", "V"),
+    ("verify", "--corpus-size", "20"),
+], ids=["eval", "verify"])
+def test_empty_w0_is_an_error(capsys, argv):
+    code, out, err = run(capsys, "--w0", "{}", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: W0 must be nonempty") and err.count("\n") == 1
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["table", "nonsense"])

@@ -4,7 +4,7 @@ import pytest
 
 from topomonoid.monoid import enumerate_monoid, parity
 from topomonoid.rewrite import normalize
-from topomonoid.rules import BASE, PB
+from topomonoid.rules import BASE, PB, AxiomSystem
 
 REFERENCE_COUNTS = [
     ("kc", BASE, 14), ("kcd", BASE, 22), ("kcd", PB, 18), ("ki", BASE, 7),
@@ -108,3 +108,12 @@ def test_json_shape():
 def test_unknown_generator_rejected():
     with pytest.raises(ValueError):
         enumerate_monoid("kx", BASE)
+
+
+def test_an_unclosed_set_is_reported_by_completion_check():
+    # Without ic -> ck the k,c search closes on a set whose right product
+    # i*c stays irreducible; the error is completion_check's own wording.
+    no_ic = AxiomSystem("PB-no-ic", tuple(r for r in PB.rules if r.lhs != "ic"))
+    with pytest.raises(ValueError) as exc:
+        enumerate_monoid("kc", no_ic)
+    assert str(exc.value) == "monoid not closed: ic reduces to ic, outside the canonical set"

@@ -95,8 +95,12 @@ def test_hasse_rejects_cycles():
 
 
 def test_proved_requires_canonical_elements():
-    with pytest.raises(ValueError):
-        proved_relation(("kid",), BASE)
+    # "kid" is not canonical (it reduces to d); "f" is canonical but not k,c,d.
+    for word in ("kid", "f"):
+        with pytest.raises(ValueError) as exc:
+            proved_relation((word,), BASE)
+        assert str(exc.value) == (f"'{word}' is not a canonical element of the "
+                                  f"k,c,d monoid under BASE")
 
 
 def test_emit_dot():

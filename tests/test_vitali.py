@@ -276,6 +276,12 @@ def test_custom_params():
         sym_equal(v, V)  # mixed parameters
 
 
+def test_empty_w0_is_rejected():
+    # V is nonmeager, so dV = kW0 must be nonempty.
+    with pytest.raises(ValueError, match="W0 must be nonempty.*nonmeager"):
+        VitaliParams.make(realsets.EMPTY, interval(0, 2))
+
+
 # -- comparison short-circuits against the full formula -------------------------
 
 
