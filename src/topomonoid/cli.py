@@ -175,7 +175,7 @@ def _cmd_poset(args, params) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(emit_dot(edges, evens))
-        print(f"wrote {args.dot}")
+        print(f"wrote {args.dot}", file=sys.stderr if args.json else sys.stdout)
     return 0 if agree else 1
 
 

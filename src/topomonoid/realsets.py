@@ -62,18 +62,22 @@ every triple occurs once.  Minimization drops the four triples (g,
 natural(g), g), which leaves 28 breakpoints; the dropped ones survive as
 rational points inside gaps, with the same triples.
 
-Breakpoints are compared as little as the algebra allows.  Each binary
-operation (union, intersection, subset) makes one aligned walk, `_aligned`,
-over the two sorted breakpoint tuples: it yields the merged breakpoints and
-both profiles spelled out on them, comparing each pair of breakpoints once
-for equality and at most once for order.  `from_cells` maps each cell's
-endpoints to breakpoint indices once and fills traces and memberships by
-index.  A TameSet computes its hash on first use, so short-lived
-intermediate profiles that never serve as a cache key hash no Fraction.
+Breakpoints are compared as little as the algebra allows.  Union,
+intersection and inclusion are each one walk, `_merge`, over the two sorted
+breakpoint tuples.  It compares each pair of breakpoints once for equality
+and at most once for order, and emits the combined profile directly: each
+gap's trace through a trace table (_UNION, _INTER, _LE), each breakpoint's
+membership through a bool table (_OR, _AND, _IMPLIES), where a breakpoint
+missing from one side takes that side's natural membership.  `contains`
+bisects the breakpoints.  `from_cells` maps each cell's endpoints to
+breakpoint indices once and fills traces and memberships by index.  A
+TameSet computes its hash on first use, so short-lived intermediate
+profiles that never serve as a cache key hash no Fraction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -91,7 +95,7 @@ DENSITY_CODES = {"full": FULL, "rationals": RATS, "irrationals": IRRS}
 # Whether a rational point inside a gap with the given trace lies in the set.
 _NATURAL = (False, True, True, False)
 
-# Pointwise union / intersection / subset of traces on a common open gap.
+# Union / intersection / inclusion of traces on a common open gap.
 _UNION = (
     (NONE, FULL, RATS, IRRS),
     (FULL, FULL, FULL, FULL),
@@ -111,6 +115,10 @@ _LE = (
     (False, True, True, False),
     (False, True, False, True),
 )
+# The same three operations on memberships, indexed by two bools.
+_OR = ((False, True), (True, True))
+_AND = ((False, False), (False, True))
+_IMPLIES = ((True, True), (False, True))
 
 
 def _coerce(x) -> Fraction | float:
@@ -234,14 +242,10 @@ class TameSet:
         x = _coerce(x)
         if not isinstance(x, Fraction):
             raise ValueError("membership is decided only at rational points")
-        lo = 0
-        for j, b in enumerate(self.breaks):
-            if x == b:
-                return self.pts[j]
-            if x < b:
-                break
-            lo = j + 1
-        return _NATURAL[self.gaps[lo]]
+        j = bisect_left(self.breaks, x)
+        if j < len(self.breaks) and self.breaks[j] == x:
+            return self.pts[j]
+        return _NATURAL[self.gaps[j]]
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -305,74 +309,50 @@ def point(x) -> TameSet:
 # -- profile combinators -------------------------------------------------
 
 
-def _aligned(a: TameSet, b: TameSet):
-    """(breaks, ga, pa, gb, pb): both profiles spelled out on the merged breaks.
+def _merge(a: TameSet, b: TameSet, gap_op, pt_op):
+    """(breaks, gaps, pts): a and b combined entrywise through the trace
+    table gap_op and the membership table pt_op on their merged breakpoints,
+    unminimized.
 
     One linear walk of the two strictly increasing tuples: each pair of
-    breakpoints is compared once for equality and at most once for order,
-    and once one side runs out its tail is copied with no comparison.  A
-    breakpoint missing from one side takes that side's natural membership
+    breakpoints is compared once for equality and at most once for order.
+    A breakpoint missing from one side takes that side's natural membership
     in the gap around it.
     """
     xs, ys = a.breaks, b.breaks
-    if xs is ys:
-        return xs, a.gaps, a.pts, b.gaps, b.pts
     gx, px, gy, py = a.gaps, a.pts, b.gaps, b.pts
-    breaks, ga, pa, gb, pb = [], [], [], [], []
+    if xs is ys:
+        return (xs, [gap_op[g][h] for g, h in zip(gx, gy)],
+                [pt_op[p][q] for p, q in zip(px, py)])
+    breaks, gaps, pts = [], [], []
     i = j = 0
     nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        x, y = xs[i], ys[j]
-        ga.append(gx[i])
-        gb.append(gy[j])
-        if x is y or x == y:
-            breaks.append(x)
-            pa.append(px[i])
-            pb.append(py[j])
+    while i < nx or j < ny:
+        g, h = gx[i], gy[j]
+        gaps.append(gap_op[g][h])
+        if i < nx and j < ny and (xs[i] is ys[j] or xs[i] == ys[j]):
+            breaks.append(xs[i])
+            pts.append(pt_op[px[i]][py[j]])
             i += 1
             j += 1
-        elif x < y:
-            breaks.append(x)
-            pa.append(px[i])
-            pb.append(_NATURAL[gy[j]])
+        elif j == ny or i < nx and xs[i] < ys[j]:
+            breaks.append(xs[i])
+            pts.append(pt_op[px[i]][_NATURAL[h]])
             i += 1
         else:
-            breaks.append(y)
-            pa.append(_NATURAL[gx[i]])
-            pb.append(py[j])
+            breaks.append(ys[j])
+            pts.append(pt_op[_NATURAL[g]][py[j]])
             j += 1
-    if i < nx:
-        rest, g = nx - i, gy[j]
-        breaks.extend(xs[i:])
-        ga.extend(gx[i:nx])
-        pa.extend(px[i:])
-        gb.extend([g] * rest)
-        pb.extend([_NATURAL[g]] * rest)
-    elif j < ny:
-        rest, g = ny - j, gx[i]
-        breaks.extend(ys[j:])
-        ga.extend([g] * rest)
-        pa.extend([_NATURAL[g]] * rest)
-        gb.extend(gy[j:ny])
-        pb.extend(py[j:])
-    ga.append(gx[nx])
-    gb.append(gy[ny])
-    return breaks, ga, pa, gb, pb
-
-
-def _combine(a: TameSet, b: TameSet, table, pt_op) -> TameSet:
-    breaks, ga, pa, gb, pb = _aligned(a, b)
-    gaps = [table[x][y] for x, y in zip(ga, gb)]
-    pts = [pt_op(x, y) for x, y in zip(pa, pb)]
-    return _from_profile(breaks, gaps, pts)
+    gaps.append(gap_op[gx[nx]][gy[ny]])
+    return breaks, gaps, pts
 
 
 def union(a: TameSet, b: TameSet) -> TameSet:
-    return _combine(a, b, _UNION, lambda x, y: x or y)
+    return _from_profile(*_merge(a, b, _UNION, _OR))
 
 
 def intersect(a: TameSet, b: TameSet) -> TameSet:
-    return _combine(a, b, _INTER, lambda x, y: x and y)
+    return _from_profile(*_merge(a, b, _INTER, _AND))
 
 
 def difference(a: TameSet, b: TameSet) -> TameSet:
@@ -380,9 +360,8 @@ def difference(a: TameSet, b: TameSet) -> TameSet:
 
 
 def is_subset(a: TameSet, b: TameSet) -> bool:
-    _, ga, pa, gb, pb = _aligned(a, b)
-    return (all(_LE[x][y] for x, y in zip(ga, gb))
-            and all((not x) or y for x, y in zip(pa, pb)))
+    _, gaps, pts = _merge(a, b, _LE, _IMPLIES)
+    return all(gaps) and all(pts)
 
 
 # -- the five operators ----------------------------------------------------

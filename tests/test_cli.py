@@ -71,9 +71,18 @@ def test_poset_command(capsys, tmp_path):
     text = dot.read_text()
     assert text.count("->") == 14
     code, out, _ = run(capsys, "poset", "--axioms", "pb", "--json")
-    data = json.loads(out.split("wrote")[0])
+    data = json.loads(out)
     assert code == 0 and data["proved_equals_corpus"] is True
     assert len(data["hasse_edges"]) == 11
+
+
+def test_poset_json_with_dot_keeps_stdout_pure_json(capsys, tmp_path):
+    dot = tmp_path / "h.dot"
+    code, out, err = run(capsys, "poset", "--json", "--dot", str(dot))
+    assert code == 0
+    assert json.loads(out)["proved_equals_corpus"] is True
+    assert err == f"wrote {dot}\n"
+    assert dot.read_text().count("->") == 14
 
 
 def test_table_commands(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_oracle import member
 from topomonoid import realsets
 from topomonoid.corpus import random_tame
 from topomonoid.realsets import (Cell, TameSet, apply_letter, apply_word, closure, complement,
@@ -108,6 +109,16 @@ def test_contains():
     assert A18.contains(Fraction(11, 2))
     assert not A18.contains(Fraction(13, 2))
     assert not A18.contains(2)
+    # Against the cell oracle: at every breakpoint, inside every gap, beyond both ends.
+    sets = rnd(300, 7000)
+    sets += [complement(s) for s in sets[:100]]
+    sets += [realsets.EMPTY, realsets.REALS, realsets.RATIONALS, realsets.IRRATIONALS]
+    for s in sets:
+        bs = s.breaks
+        probes = [Fraction(0)] if not bs else [bs[0] - 1, *bs, bs[-1] + 1]
+        probes += [(x + y) / 2 for x, y in zip(bs, bs[1:])]
+        for x in probes:
+            assert s.contains(x) == member(s.cells, x), (render(s), x)
 
 
 # -- algebraic laws over a seeded corpus ----------------------------------------
@@ -176,11 +187,18 @@ def _shape(a, b):
     return "interleaved"
 
 
+# (trace table, membership table) of union, intersection and inclusion.
+TABLE_PAIRS = ((realsets._UNION, realsets._OR), (realsets._INTER, realsets._AND),
+               (realsets._LE, realsets._IMPLIES))
+
+
 def test_combinators_match_cell_normalization():
     shapes = set()
     for a, b in _pairs():
         shapes.add(_shape(a, b))
-        assert list(realsets._aligned(a, b)[0]) == sorted(set(a.breaks) | set(b.breaks))
+        for gap_op, pt_op in TABLE_PAIRS:
+            merged = realsets._merge(a, b, gap_op, pt_op)[0]
+            assert list(merged) == sorted(set(a.breaks) | set(b.breaks))
         assert union(a, b) == TameSet.from_cells(a.cells + b.cells)
         assert intersect(a, b) == complement(
             TameSet.from_cells(complement(a).cells + complement(b).cells))
@@ -188,11 +206,11 @@ def test_combinators_match_cell_normalization():
     assert {"equal", "disjoint", "interleaved"} <= shapes
 
 
-# -- the aligned walk and from_cells against the scans they replaced -------------
+# -- the merge and from_cells against the scans they replaced -------------------
 
 
 def _merged_breaks_by_scan(a, b):
-    """The merge the aligned walk replaced: merged tuple first, then two expansions."""
+    """The merge _merge replaced: merged tuple first, then two expansions."""
     xs, ys = a.breaks, b.breaks
     if xs == ys:
         return xs
@@ -260,11 +278,15 @@ def test_aligned_walk_matches_merge_then_expand():
                     kinds.add("same object")
                 elif x == y:
                     kinds.add("equal objects")
-        breaks, ga, pa, gb, pb = realsets._aligned(a, b)
         expected = _merged_breaks_by_scan(a, b)
-        assert list(breaks) == list(expected)
-        assert (list(ga), list(pa)) == _expand_by_scan(a, expected)
-        assert (list(gb), list(pb)) == _expand_by_scan(b, expected)
+        assert list(expected) == sorted(set(a.breaks) | set(b.breaks))
+        ga, pa = _expand_by_scan(a, expected)
+        gb, pb = _expand_by_scan(b, expected)
+        for gap_op, pt_op in TABLE_PAIRS:
+            breaks, gaps, pts = realsets._merge(a, b, gap_op, pt_op)
+            assert list(breaks) == list(expected)
+            assert list(gaps) == [gap_op[x][y] for x, y in zip(ga, gb)]
+            assert list(pts) == [pt_op[x][y] for x, y in zip(pa, pb)]
     assert {"equal", "disjoint", "interleaved", "one empty",
             "same object", "equal objects"} <= kinds
 
