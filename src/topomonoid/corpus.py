@@ -178,16 +178,16 @@ class _Parser:
         closer, cpos = self.take(kind="punct")
         if closer not in ")]":
             raise ParseError(f"expected ')' or ']', got {closer!r}", position=cpos)
-        lo_closed, hi_closed = opener == "[", closer == "]"
-        if lo > hi:
-            raise ParseError(f"malformed interval: {lo} > {hi}", position=lo_pos)
-        if lo == hi and not (lo_closed and hi_closed):
-            raise ParseError("degenerate interval must be closed on both ends",
-                             position=lo_pos)
-        try:
-            return Cell(lo, hi, lo_closed, hi_closed, density)
-        except ValueError as exc:
-            raise ParseError(str(exc), position=lo_pos) from None
+        return _cell(lo, hi, opener == "[", closer == "]", density, lo_pos)
+
+
+def _cell(lo, hi, lo_closed: bool, hi_closed: bool, density: str, position: int) -> Cell:
+    """A Cell, with Cell's own validation reported as a ParseError at the
+    position of the cell's first number."""
+    try:
+        return Cell(lo, hi, lo_closed, hi_closed, density)
+    except ValueError as exc:
+        raise ParseError(str(exc), position=position) from None
 
 
 def parse_set_dsl(text: str, params: VitaliParams = DEFAULT_PARAMS) -> SymbolicSet:
@@ -221,9 +221,7 @@ def parse_set_dsl(text: str, params: VitaliParams = DEFAULT_PARAMS) -> SymbolicS
                 return  # "{}": the empty set contributes nothing
             x, xpos = p.number()
             p.take(value="}")
-            if not isinstance(x, Fraction):
-                raise ParseError("a point must be finite", position=xpos)
-            cells.append(Cell(x, x, True, True, "full"))
+            cells.append(_cell(x, x, True, True, "full", xpos))
             return
         if val in "([":
             cells.append(p.interval("full"))

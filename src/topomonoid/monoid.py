@@ -1,4 +1,5 @@
-"""Finite monoids of operator words: enumeration, Cayley tables, parity."""
+"""Finite monoids of operator words: Cayley tables over completion_check's
+search, and parity."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 
 from .rewrite import completion_check, normalize
 from .rules import AxiomSystem
-from .words import LETTERS, render_word, word_sort_key
+from .words import LETTERS, render_word
 
 
 @dataclass(frozen=True)
@@ -34,32 +35,20 @@ class MonoidTable:
 
 
 def enumerate_monoid(gens, ax: AxiomSystem) -> MonoidTable:
-    """Breadth-first closure of {e} under left multiplication by the generators.
+    """The monoid the generators generate under the axiom system.
 
-    Any product g1...gn is reached by left-multiplying in reverse order, so
-    the closure is the whole generated monoid; the result is sorted and
-    therefore independent of traversal order.  completion_check confirms
-    both-sided closure before the Cayley rows are read off.
+    completion_check searches the canonical set and confirms it is closed
+    under left and right multiplication; the Cayley rows are then read off
+    by index.
     """
     gens = tuple(sorted(set(gens)))
     for g in gens:
         if g not in LETTERS:
             raise ValueError(f"unknown generator {g!r}")
-    seen = {""}
-    frontier = [""]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = normalize(g + w, ax)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    elements = tuple(sorted(seen, key=word_sort_key))
-    report = completion_check(ax, gens, elements)
+    report = completion_check(ax, gens)
     if not report.ok:
         raise ValueError(f"monoid not closed: {report.failures[0]}")
+    elements = report.elements
     index = {w: i for i, w in enumerate(elements)}
     left = {g: tuple(index[normalize(g + w, ax)] for w in elements) for g in gens}
     right = {g: tuple(index[normalize(w + g, ax)] for w in elements) for g in gens}

@@ -41,10 +41,10 @@ it yields the image's shape and the indices `keep` of the breakpoints
 that survive, and the breakpoint values merely ride along
 (breaks[j] for j in keep).  Each operator is written once as such a map,
 and `_step` memoizes it on (letter, gaps, pts): tuples of small ints and
-bools, so no Fraction is hashed or compared.  `apply_letter`, one step
-and the kept breakpoints, is the per-letter entry that all five operators
-call; `apply_word` walks a whole word on the shape, composes the keep maps
-and builds one TameSet at the end.
+bools, so no Fraction is hashed or compared.  `apply_word` is the one
+entry into the memo: it walks a word on the shape, composes the keep maps
+and builds one TameSet at the end, and each of the five operators is
+`apply_word` on its one-letter word.
 
 Universal witness.  By the lemma, the image of a set under a word over
 kicdf01 has, on each gap, a trace that depends only on the gap's trace,
@@ -413,32 +413,16 @@ def _step(letter: str, gaps: tuple[int, ...], pts: tuple[bool, ...]):
     return _minimize(*_SHAPE_OPS[letter](gaps, pts))
 
 
-def _unknown_letter(letter: str) -> ValueError:
-    return ValueError(f"unknown operator letter {letter!r}")
-
-
-def apply_letter(letter: str, s: TameSet) -> TameSet:
-    """The image of s under one letter of kicdf: one cached _step on the
-    shape, with the kept breakpoints selected from those of s."""
-    if letter not in _SHAPE_OPS:
-        raise _unknown_letter(letter)
-    keep, gaps, pts = _step(letter, s.gaps, s.pts)
-    breaks = s.breaks
-    if len(keep) != len(breaks):
-        breaks = tuple(breaks[j] for j in keep)
-    return TameSet(breaks, gaps, pts, _trusted=True)
-
-
 def closure(s: TameSet) -> TameSet:
-    return apply_letter("k", s)
+    return apply_word("k", s)
 
 
 def interior(s: TameSet) -> TameSet:
-    return apply_letter("i", s)
+    return apply_word("i", s)
 
 
 def complement(s: TameSet) -> TameSet:
-    return apply_letter("c", s)
+    return apply_word("c", s)
 
 
 def second_category(s: TameSet) -> TameSet:
@@ -450,7 +434,7 @@ def second_category(s: TameSet) -> TameSet:
     gap and isolated points are countable, hence meager, and vanish.
     Finite additivity of d makes the gap-wise computation exact.
     """
-    return apply_letter("d", s)
+    return apply_word("d", s)
 
 
 def frontier(s: TameSet) -> TameSet:
@@ -461,7 +445,7 @@ def frontier(s: TameSet) -> TameSet:
     is in k(s) unless it is outside s with NONE on both sides, and in
     k(cs) unless it is inside s with FULL on both sides.
     """
-    return apply_letter("f", s)
+    return apply_word("f", s)
 
 
 def apply_word(word: str, s: TameSet) -> TameSet:
@@ -481,7 +465,7 @@ def apply_word(word: str, s: TameSet) -> TameSet:
             gaps, pts, keep = start.gaps, start.pts, None
             continue
         if ch not in _SHAPE_OPS:
-            raise _unknown_letter(ch)
+            raise ValueError(f"unknown operator letter {ch!r}")
         n = len(pts)
         step, gaps, pts = _step(ch, gaps, pts)
         if len(step) != n:

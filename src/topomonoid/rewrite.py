@@ -1,4 +1,4 @@
-"""Normalization of operator words, rule validation, and closure checking.
+"""Normalization of operator words, rule validation, and the closure search.
 
 An axiom system is a finite string-rewriting system: every rule rewrites
 its left-hand side wherever it occurs (rules are two-sided operator
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .rules import BASE, AxiomSystem
 from .vitali import check_identity, has_baire_property
-from .words import check_word, render_word
+from .words import check_word, render_word, word_sort_key
 
 STEP_BUDGET = 10_000
 
@@ -145,20 +145,36 @@ class CompletionReport:
 def completion_check(ax: AxiomSystem, gens, candidate=None) -> CompletionReport:
     """Verify a canonical set is closed under left and right multiplication.
 
-    With no explicit candidate the enumerated canonical set is checked
-    (the acceptance path).  Passing a candidate detects a weakened rule
+    With no explicit candidate the set checked is the one the generators
+    reach: a breadth-first closure of {e} under left multiplication.  Any
+    product g1...gn is reached by left-multiplying in reverse order, so the
+    closure is the whole generated monoid, returned in (length, lex) order;
+    it is closed on the left by construction, and only the right products
+    w*g remain to check.  Passing a candidate detects a weakened rule
     table: products of a correct canonical set stop reducing into it.
     """
-    from .monoid import enumerate_monoid  # local import to avoid a cycle
-
-    if candidate is None:
-        candidate = enumerate_monoid(gens, ax).elements
-    candidate = tuple(candidate)
-    elements = set(candidate)
+    gens = sorted(set(gens))
+    searched = candidate is None
+    if searched:
+        elements = {""}
+        frontier = [""]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for g in gens:
+                    u = normalize(g + w, ax)
+                    if u not in elements:
+                        elements.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        candidate = tuple(sorted(elements, key=word_sort_key))
+    else:
+        candidate = tuple(candidate)
+        elements = set(candidate)
     failures: list[str] = []
-    for g in sorted(set(gens)):
+    for g in gens:
         for w in candidate:
-            for product in (g + w, w + g):
+            for product in (w + g,) if searched else (g + w, w + g):
                 try:
                     norm = normalize(product, ax)
                 except ReductionBudgetError as exc:

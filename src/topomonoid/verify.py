@@ -7,11 +7,11 @@ Vitali rows, the Hasse edge sets, and the parity splits.  The typo
 ledger is reported even when a run fails, to keep the oracle-over-print
 policy visible.
 
-Each count's upper bound is closure (enumerate_monoid's search closes the
-canonical set under left multiplication; completion_check, the one closure
-check, which criterion 7 re-runs, confirms both sides) plus soundness
-(criterion 6 decides each rule on every tame set through the witness U
-and evaluates the three V-mode witnesses); its lower bound is criterion 3.
+Each count's upper bound is closure (completion_check's search closes the
+canonical set under left multiplication and checks the right products;
+criterion 7 re-runs it) plus soundness (criterion 6 decides each rule on
+every tame set through the witness U and evaluates the three V-mode
+witnesses); its lower bound is criterion 3.
 Confluence is not needed for the counts.
 Word identities go through vitali.check_identity; an undecidable instance
 is a skip in 5a and in 6's rule table and a failure everywhere else.
@@ -285,7 +285,7 @@ def d_law_violations(sets) -> tuple[list[str], int]:
     return problems, skipped
 
 
-def check_property_suites(checks, corpus, params):
+def check_property_suites(checks, corpus):
     sets = [tame(s) for s in corpus.random] + [
         corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
     problems, skipped = d_law_violations(sets)
@@ -429,7 +429,7 @@ def run_verify(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
     check_even_figure(checks, params)
     check_distinctness(checks, params)
     check_vitali_table(checks, params)
-    check_property_suites(checks, corpus, params)
+    check_property_suites(checks, corpus)
     check_rule_validation(checks, corpus, params)
     check_completion(checks)
     check_poset(checks, params)

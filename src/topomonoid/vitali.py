@@ -113,7 +113,7 @@ from functools import lru_cache
 
 from . import realsets
 from .realsets import TameSet, closure, complement, intersect, second_category, union
-from .words import LETTERS, render_word
+from .words import CONSTANTS, LETTERS, render_word
 
 
 class Undecidable(Exception):
@@ -213,10 +213,10 @@ def _check_k_decidable(base: TameSet, params: VitaliParams) -> None:
 
 
 def sym_apply(letter: str, s: SymbolicSet) -> SymbolicSet:
-    if letter not in LETTERS:
+    if len(letter) != 1 or letter not in LETTERS + CONSTANTS:
         raise ValueError(f"unknown operator letter {letter!r}")
-    if s.mode == MODE_TAME:
-        return tame(realsets.apply_letter(letter, s.base))
+    if s.mode == MODE_TAME or letter in CONSTANTS:  # constants are absolute
+        return tame(realsets.apply_word(letter, s.base))
     params = s.params
     if letter == "c":  # never collapses (module docstring)
         mode = MODE_MINUS if s.mode == MODE_PLUS else MODE_PLUS
@@ -254,17 +254,12 @@ def apply_word(word: str, s: SymbolicSet) -> SymbolicSet:
     pos = len(word) - 1
     while pos >= 0 and cur.mode != MODE_TAME:
         ch = word[pos]
-        if ch == "0":
-            cur = tame(realsets.EMPTY)
-        elif ch == "1":
-            cur = tame(realsets.REALS)
-        else:
-            try:
-                cur = _cached_apply(ch, cur)
-            except Undecidable as exc:
-                raise Undecidable(
-                    f"{exc} [letter {ch!r} at position {pos + 1} of "
-                    f"{render_word(word)!r}]") from None
+        try:
+            cur = _cached_apply(ch, cur)
+        except Undecidable as exc:
+            raise Undecidable(
+                f"{exc} [letter {ch!r} at position {pos + 1} of "
+                f"{render_word(word)!r}]") from None
         pos -= 1
     if pos < 0:
         return cur

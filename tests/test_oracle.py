@@ -21,7 +21,7 @@ input and of the image, shifted by small offsets that land inside gaps.
 from fractions import Fraction
 
 from topomonoid.corpus import random_tame
-from topomonoid.realsets import apply_letter, complement
+from topomonoid.realsets import apply_word, complement
 
 OFFSETS = (Fraction(0), Fraction(1, 16), Fraction(-1, 16),
            Fraction(1, 3), Fraction(-1, 3), Fraction(1), Fraction(-1))
@@ -77,7 +77,7 @@ def probes(*cell_views):
 def test_pointwise_oracle_agrees_with_evaluator():
     for seed in range(200):
         s = random_tame(seed, 4)
-        images = {letter: apply_letter(letter, s) for letter in "kicdf"}
+        images = {letter: apply_word(letter, s) for letter in "kicdf"}
         xs = probes(s.cells, *(img.cells for img in images.values()))
         for x in xs:
             assert member(images["c"].cells, x) == (not member(s.cells, x)), (seed, x)
@@ -93,8 +93,8 @@ def test_oracle_on_composites():
     for seed in range(60):
         s = random_tame(seed + 1000, 3)
         for word in ("ki", "ik", "dc", "cd", "fk", "ic"):
-            mid = apply_letter(word[1], s)
-            img = apply_letter(word[0], mid)
+            mid = apply_word(word[1], s)
+            img = apply_word(word[0], mid)
             for x in probes(s.cells, mid.cells, img.cells):
                 if word[0] == "k":
                     assert member(img.cells, x) == adherent(mid.cells, x)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_oracle import member
 from topomonoid import realsets
 from topomonoid.corpus import random_tame
-from topomonoid.realsets import (Cell, TameSet, apply_letter, apply_word, closure, complement,
+from topomonoid.realsets import (Cell, TameSet, apply_word, closure, complement,
                                  difference, frontier, interior, intersect,
                                  interval, is_subset, point, render,
                                  second_category, union)
@@ -372,11 +372,14 @@ def test_hash_is_computed_on_first_use():
     assert hash(TameSet.from_cells(s.cells)) == h
 
 
-def test_apply_letter_dispatch():
-    s = interval(0, 1)
-    assert apply_letter("k", s) == closure(s)
-    with pytest.raises(ValueError):
-        apply_letter("x", s)
+def test_one_letter_words_are_the_five_operators():
+    named = {"k": closure, "i": interior, "c": complement, "d": second_category,
+             "f": frontier}
+    for s in rnd(100, 9000):
+        for letter, op in named.items():
+            assert apply_word(letter, s) == op(s), (letter, s)
+    with pytest.raises(ValueError, match="unknown operator letter 'x'"):
+        apply_word("x", interval(0, 1))
 
 
 def test_structural_equality_is_set_equality():
@@ -430,7 +433,7 @@ def test_each_letter_acts_on_the_shape_alone(drawn):
     assert _kept(a, raw_a) == _kept(b, raw_b)
     for s, t in ((raw_a, raw_b), (a, b)):
         for letter in "kicdf":
-            ia, ib = apply_letter(letter, s), apply_letter(letter, t)
+            ia, ib = apply_word(letter, s), apply_word(letter, t)
             assert (ia.gaps, ia.pts) == (ib.gaps, ib.pts), letter
             assert _kept(ia, s) == _kept(ib, t), letter
 
@@ -454,7 +457,7 @@ def test_apply_word_walks_like_the_letter_fold():
                 if ch in "01":
                     img = realsets.EMPTY if ch == "0" else realsets.REALS
                 else:
-                    img = apply_letter(ch, img)
+                    img = apply_word(ch, img)
             assert apply_word(w, s) == img, (w, s)
     s = interval(0, 1, True, True)
     assert apply_word("kc" * 3, s) is not s and apply_word("cc", s) is s

@@ -5,7 +5,8 @@ import pytest
 from topomonoid.corpus import build_corpus, parse_set_dsl
 from topomonoid.monoid import enumerate_monoid, parity
 from topomonoid.rewrite import ReductionBudgetError, completion_check, normalize, validate_rules
-from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
+from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule, get_axioms
+from topomonoid.verify import EXPECTED_COUNTS
 
 
 @pytest.mark.parametrize("word,ax,expected", [
@@ -190,6 +191,24 @@ def test_completion_check_reports_missing_rule():
     assert any("dck" in f for f in report.failures)
     # Without the candidate the weakened system closes on a larger set.
     assert completion_check(crippled, "kcd").size > 22
+
+
+def test_completion_check_reports_an_unclosed_search():
+    # Without ic -> ck the k,c search closes on 14 words on the left, but
+    # the right product i*c stays irreducible.
+    no_ic = AxiomSystem("BASE-no-ic", tuple(r for r in BASE.rules if r.lhs != "ic"))
+    report = completion_check(no_ic, "kc")
+    assert not report.ok
+    assert report.size == 14
+    assert report.failures[0] == "ic reduces to ic, outside the canonical set"
+    with pytest.raises(ValueError, match="^monoid not closed: ic reduces to ic"):
+        enumerate_monoid("kc", no_ic)
+
+
+def test_completion_check_searches_the_enumerated_monoid():
+    for gens, ax_name, _ in EXPECTED_COUNTS:
+        ax = get_axioms(ax_name)
+        assert completion_check(ax, gens).elements == enumerate_monoid(gens, ax).elements
 
 
 def test_all_short_words_reach_the_canonical_sets():

@@ -1,7 +1,9 @@
 """The runtime is standard-library only: every absolute import in the
-package names a standard-library module (or the package itself)."""
+package names a standard-library module (or the package itself).  The
+package's imports of its own modules form no cycle."""
 
 import ast
+import graphlib
 import sys
 from pathlib import Path
 
@@ -24,3 +26,32 @@ def test_imports_are_standard_library(path):
     allowed = sys.stdlib_module_names | {"topomonoid"}
     outside = sorted(set(absolute_imports(path)) - allowed)
     assert not outside, f"{path.name} imports non-stdlib modules {outside}"
+
+
+def package_imports(path: Path):
+    """The package modules `path` imports anywhere, function bodies included;
+    "__init__" stands for a name taken from the package itself."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:  # the package is flat, so "." is topomonoid itself
+                base = "topomonoid" + (f".{base}" if base else "")
+            targets = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            if parts[0] == "topomonoid":
+                yield parts[1] if len(parts) > 1 and parts[1] in modules else "__init__"
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = {p.stem: set(package_imports(p)) for p in PACKAGE.glob("*.py")}
+    assert {"rewrite", "words"} <= graph["monoid"] and "realsets" in graph["vitali"]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")

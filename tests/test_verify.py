@@ -18,7 +18,7 @@ def _checks(run, *args):
 
 
 def _property_suites():
-    return _checks(verify.check_property_suites, CORPUS, DEFAULT_PARAMS)
+    return _checks(verify.check_property_suites, CORPUS)
 
 
 def _first_set_where_words_differ(lhs, rhs, sets):
@@ -100,8 +100,8 @@ def test_10_fails_on_a_wrong_normal_form(monkeypatch):
 
 
 @pytest.mark.parametrize("run,args,cid", [
-    (verify.check_property_suites, (CORPUS, DEFAULT_PARAMS), "5b-baire-equalities"),
-    (verify.check_property_suites, (CORPUS, DEFAULT_PARAMS), "5c-baire-failures-on-vitali"),
+    (verify.check_property_suites, (CORPUS,), "5b-baire-equalities"),
+    (verify.check_property_suites, (CORPUS,), "5c-baire-failures-on-vitali"),
     (verify.check_rule_validation, (CORPUS, DEFAULT_PARAMS), "6-rule-validation"),
     (verify.check_rewrite_semantics, (CORPUS, 1729), "10-rewrite-semantics"),
 ], ids=["5b", "5c", "6", "10"])

@@ -65,6 +65,15 @@ def test_mode_algebra_closure():
             assert sym_apply(ch, s).mode in ("tame", "plusV", "minusV")
 
 
+def test_constants_are_absolute_in_every_mode():
+    for s in (V, CV, A22):
+        assert sym_apply("0", s) == tame(realsets.EMPTY)
+        assert sym_apply("1", s) == tame(realsets.REALS)
+    for bad in ("x", "", "kc"):
+        with pytest.raises(ValueError, match="unknown operator letter"):
+            sym_apply(bad, V)
+
+
 def test_undecidable_isolated_point_inside_w1():
     s = minus_v(union(interval(8, 9, True, True), point(realsets.Fraction(19, 2))))
     with pytest.raises(Undecidable):
