@@ -62,6 +62,27 @@ every triple occurs once.  Minimization drops the four triples (g,
 natural(g), g), which leaves 28 breakpoints; the dropped ones survive as
 rational points inside gaps, with the same triples.
 
+Universal pair.  The lemma extends to pairs.  On the joint profile of two
+sets S and T (the union of their breakpoints, each side's trace and
+membership read off there) a gap has one of 16 joint traces and a
+breakpoint one of 16 * 4 * 16 = 1,024 joint triples (trace pair,
+membership pair, trace pair).  _merge gives union and intersection the
+same locality, so any expression in S and T built from kicdf01, union and
+intersection has, on each joint gap, a trace that depends only on the
+joint trace, and at each point a membership that depends only on the
+joint triple.  An inclusion or an equality between two such expressions,
+or the meagerness of one (a meager tame set is one with no FULL or IRRS
+gap), holds at each location or fails there by its own trace or triple.
+So it holds for every tame pair when it holds for one pair whose joint
+profile shows all 16 joint traces and all 1,024 joint triples.
+universal_pair() builds such a pair as U is built, over the alphabet of
+the 16 joint traces: a cyclic de Bruijn sequence of their 256 pairs,
+repeated once for each membership pair, puts every joint triple at one of
+1,024 shared breakpoints.  Each side is minimized on its own (896
+breakpoints each); a breakpoint dropped from both sides carries the joint
+triple of a rational point inside its joint gap, so the union of the two
+kept tuples (1,008 breakpoints) still shows every triple.
+
 Breakpoints are compared as little as the algebra allows.  Union,
 intersection and inclusion are each one walk, `_merge`, over the two sorted
 breakpoint tuples.  It compares each pair of breakpoints once for equality
@@ -288,14 +309,39 @@ REALS = TameSet._raw((), (FULL,), ())
 RATIONALS = TameSet._raw((), (RATS,), ())
 IRRATIONALS = TameSet._raw((), (IRRS,), ())
 
+
+def _de_bruijn(k: int) -> tuple[int, ...]:
+    """The cyclic de Bruijn sequence of the pairs over range(k): read
+    cyclically, its k*k windows (B[j], B[j+1]) are all k*k pairs.  It is the
+    Lyndon words of length 1 and 2 in lexicographic order (a, then a b for
+    each b > a), concatenated."""
+    return tuple(x for a in range(k)
+                 for x in (a, *(y for b in range(a + 1, k) for y in (a, b))))
+
+
 # The universal witness U (see the module docstring): the cyclic de Bruijn
 # sequence B of the trace pairs gives the 33 gaps B + B + B[:1] around the
 # breakpoints 21..52, which are members exactly from the 17th on.
-_DE_BRUIJN = (NONE, NONE, FULL, NONE, RATS, NONE, IRRS, FULL,
-              FULL, RATS, FULL, IRRS, RATS, RATS, IRRS, IRRS)
+_DE_BRUIJN = _de_bruijn(4)
 UNIVERSAL = _from_profile([Fraction(b) for b in range(21, 53)],
                           _DE_BRUIJN * 2 + _DE_BRUIJN[:1],
                           [j >= 16 for j in range(32)])
+
+
+@lru_cache(maxsize=None)
+def universal_pair() -> tuple[TameSet, TameSet]:
+    """The universal pair (U_S, U_T) (see the module docstring), built on
+    first use: the joint trace 4*s + t stands for the traces s of U_S and t
+    of U_T, and the cyclic de Bruijn sequence J of the joint trace pairs
+    gives the 1,025 joint gaps J * 4 + J[:1] around the breakpoints
+    21..1044, whose membership pair steps through (out, out), (out, in),
+    (in, out), (in, in) once every 256 breakpoints."""
+    joint = _de_bruijn(16)
+    gaps = joint * 4 + joint[:1]
+    breaks = [Fraction(b) for b in range(21, 21 + 4 * len(joint))]
+    members = [divmod(j // len(joint), 2) for j in range(len(breaks))]
+    return (_from_profile(breaks, [g // 4 for g in gaps], [m == 1 for m, _ in members]),
+            _from_profile(breaks, [g % 4 for g in gaps], [m == 1 for _, m in members]))
 
 
 def interval(lo, hi, lo_closed=False, hi_closed=False, density="full") -> TameSet:

@@ -34,10 +34,23 @@ from .words import check_word, render_word, word_sort_key
 STEP_BUDGET = 10_000
 
 
+_SHOWN_LETTERS = 40
+
+
+def _shown_word(word: str) -> str:
+    """render_word(word) for a message: a runaway word is cut to a prefix of
+    _SHOWN_LETTERS letters and its length."""
+    if len(word) <= _SHOWN_LETTERS:
+        return render_word(word)
+    return f"{word[:_SHOWN_LETTERS]}... ({len(word)} letters)"
+
+
 class ReductionBudgetError(RuntimeError):
+    """`word` is the whole word the reduction had reached."""
+
     def __init__(self, word: str, ax_name: str):
         super().__init__(
-            f"step budget exhausted while reducing {render_word(word)!r} under "
+            f"step budget exhausted while reducing {_shown_word(word)} under "
             f"{ax_name}: a derived rule is missing (run completion_check)")
         self.word = word
 
@@ -152,18 +165,31 @@ def completion_check(ax: AxiomSystem, gens, candidate=None) -> CompletionReport:
     it is closed on the left by construction, and only the right products
     w*g remain to check.  Passing a candidate detects a weakened rule
     table: products of a correct canonical set stop reducing into it.
+    A product that exhausts the step budget is a "stuck at" failure on
+    either path, and on the search path it ends the search.
     """
     gens = sorted(set(gens))
+    failures: list[str] = []
+
+    def reduced(product):
+        try:
+            return normalize(product, ax)
+        except ReductionBudgetError as exc:
+            failures.append(f"{render_word(product)} stuck at {_shown_word(exc.word)}")
+            return None
+
     searched = candidate is None
     if searched:
         elements = {""}
         frontier = [""]
-        while frontier:
+        # A stuck product ends the search: a table that does not terminate
+        # need not reach finitely many normal forms.
+        while frontier and not failures:
             nxt = []
             for w in frontier:
                 for g in gens:
-                    u = normalize(g + w, ax)
-                    if u not in elements:
+                    u = reduced(g + w)
+                    if u is not None and u not in elements:
                         elements.add(u)
                         nxt.append(u)
             frontier = nxt
@@ -171,16 +197,11 @@ def completion_check(ax: AxiomSystem, gens, candidate=None) -> CompletionReport:
     else:
         candidate = tuple(candidate)
         elements = set(candidate)
-    failures: list[str] = []
     for g in gens:
         for w in candidate:
             for product in (w + g,) if searched else (g + w, w + g):
-                try:
-                    norm = normalize(product, ax)
-                except ReductionBudgetError as exc:
-                    failures.append(f"{render_word(product)} stuck at {render_word(exc.word)}")
-                    continue
-                if norm not in elements:
+                norm = reduced(product)
+                if norm is not None and norm not in elements:
                     failures.append(
                         f"{render_word(product)} reduces to {render_word(norm)}, "
                         f"outside the canonical set")

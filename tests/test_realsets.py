@@ -1,6 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -507,7 +512,7 @@ def test_kuratowski_and_baire_laws(a, b):
 
 def _spelled_out(s, breaks):
     """(gaps, pts) of s on a superset of its breakpoints, read by scanning."""
-    gaps = [s.gaps[sum(1 for b in s.breaks if b <= lo)] for lo in [realsets.NEG_INF, *breaks]]
+    gaps = [s.gaps[bisect_right(s.breaks, lo)] for lo in [realsets.NEG_INF, *breaks]]
     return gaps, [s.contains(b) for b in breaks]
 
 
@@ -520,6 +525,32 @@ def test_universal_witness_shows_every_trace_and_triple():
     triples = {(gaps[j], pts[j], gaps[j + 1]) for j in range(32)}
     assert len(triples) == 32
     assert len(u.breaks) == 28 and set(u.breaks) <= set(breaks)
+
+
+def test_universal_pair_shows_every_joint_trace_and_triple():
+    u_s, u_t = realsets.universal_pair()
+    kept = sorted(set(u_s.breaks) | set(u_t.breaks))
+    # A rational point inside a joint gap is a location too: spell one out
+    # in every joint gap.
+    inside = [kept[0] - 1, *((a + b) / 2 for a, b in zip(kept, kept[1:])), kept[-1] + 1]
+    points = sorted(kept + inside)
+    (gs, ps), (gt, pt) = _spelled_out(u_s, points), _spelled_out(u_t, points)
+    traces = list(zip(gs, gt))
+    assert set(traces) == set(itertools.product(range(4), repeat=2))
+    triples = {(traces[j], (ps[j], pt[j]), traces[j + 1]) for j in range(len(points))}
+    assert len(triples) == 16 * 4 * 16
+    assert len(u_s.breaks) == len(u_t.breaks) == 896 and len(kept) == 1008
+
+
+def test_importing_the_cli_does_not_build_the_universal_pair():
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import topomonoid.cli; from topomonoid import realsets; "
+            "print(realsets.universal_pair.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "0", "")
 
 
 words_over_kicdf01 = st.text(alphabet="kicdf01", max_size=6)

@@ -231,6 +231,22 @@ def test_budget_exhaustion_raises():
         normalize("kc", looping)
 
 
+def test_a_stuck_product_is_a_short_failure_on_both_paths():
+    loop = AxiomSystem("loop", (RewriteRule("ck", "ckcc", "BASE", "bad", "derived"),))
+    for candidate in (None, ("", "k", "c")):
+        report = completion_check(loop, "kc", candidate)
+        assert not report.ok
+        assert "ck stuck at ckcc" in report.failures[0]
+        assert all(len(f) < 200 for f in report.failures), report.failures
+    with pytest.raises(ValueError, match="^monoid not closed: ck stuck at ") as info:
+        enumerate_monoid("kc", loop)
+    assert len(str(info.value)) < 200
+    with pytest.raises(ReductionBudgetError) as info:
+        normalize("ck", loop)
+    assert len(str(info.value)) < 200 and "(20002 letters)" in str(info.value)
+    assert info.value.word == "ck" + "c" * 20000
+
+
 # -- the compiled redex search is exactly the leftmost, table-order strategy ----
 
 

@@ -4,9 +4,12 @@ import pytest
 
 from topomonoid import verify
 from topomonoid.corpus import build_corpus
-from topomonoid.realsets import render
+from topomonoid.realsets import UNIVERSAL, render
 from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
-from topomonoid.vitali import DEFAULT_PARAMS, apply_word, render_symbolic, sym_equal, tame
+from topomonoid.vitali import (DEFAULT_PARAMS, Undecidable, apply_word, check_identity,
+                               has_baire_property, is_meager, render_symbolic,
+                               sym_difference, sym_equal, sym_intersect, sym_subset,
+                               sym_union, tame)
 
 CORPUS = build_corpus(size=17, seed=1729)
 
@@ -119,3 +122,126 @@ def test_5a_counts_undecidable_laws_as_skips(monkeypatch):
     assert not problems and skipped == 2
     monkeypatch.setattr(verify, "check_identity", lambda lhs, rhs, sets: (0, len(sets), None))
     assert verify.d_law_violations(sets) == ([], skipped + 5 * len(sets))
+
+
+# -- criterion 5 on witnesses agrees with the set-by-set check -----------------
+
+
+def _oracle_d_law_violations(sets):
+    """The set-by-set check of the d-operator laws that 5a made before its
+    laws were decided on witnesses."""
+    problems = []
+    skipped = 0
+    for tag, lhs, rhs in verify.D_LAW_IDENTITIES:
+        _, law_skipped, cex = check_identity(lhs, rhs, sets)
+        skipped += law_skipped
+        if cex is not None:
+            problems.append(f"({tag}) {lhs} = {rhs} fails on {cex[0]}")
+    for s in sets:
+        ds = apply_word("d", s)
+        if not sym_subset(ds, apply_word("k", s)):
+            problems.append(f"(b) dS not in kS on {render_symbolic(s)}")
+        if s.is_tame() and s.base.is_meager() != ds.base.is_empty():
+            problems.append(f"(f) meagerness mismatch on {render_symbolic(s)}")
+        try:
+            rest = sym_difference(s, ds)
+            if not is_meager(rest):
+                problems.append(f"(e) S-dS not meager on {render_symbolic(s)}")
+        except Undecidable:
+            skipped += 1
+    for s, t in zip(sets, sets[1:] + sets[:1]):
+        try:
+            u = sym_union(s, t)
+        except Undecidable:
+            skipped += 1
+            continue
+        du = apply_word("d", u)
+        if not sym_subset(apply_word("d", s), du):
+            problems.append(f"(a) monotonicity fails on {render_symbolic(s)}")
+        try:
+            both = sym_union(apply_word("d", s), apply_word("d", t))
+            if not sym_equal(du, both):
+                problems.append(f"(d) additivity fails on {render_symbolic(s)}")
+        except Undecidable:
+            skipped += 1
+    return problems, skipped
+
+
+def _oracle_baire_law_violations(bp_sets):
+    """5b's set-by-set loop over the property-true sets."""
+    problems = []
+    for s in bp_sets:
+        rest = sym_difference(apply_word("d", s), s)
+        if not is_meager(rest):
+            problems.append(f"(b) dS-S not meager on {render_symbolic(s)}")
+    return problems
+
+
+def _5a_sets(corpus):
+    return [tame(s) for s in corpus.random] + [
+        corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
+
+
+@pytest.mark.parametrize("seed", [1729, 2729, 7])
+def test_laws_on_witnesses_match_the_set_by_set_oracle(seed):
+    corpus = build_corpus(verify.DEFAULT_CORPUS_SIZE, seed)
+    sets = _5a_sets(corpus)
+    expected = _oracle_d_law_violations(sets)
+    assert verify.d_law_violations(sets) == expected
+    if seed == 1729:
+        assert expected == ([], 2)
+    bp_sets = [(s,) for s in corpus.all_sets() if has_baire_property(s) is True]
+    assert (verify.law_violations(verify.BAIRE_SET_LAWS, bp_sets, (tame(UNIVERSAL),))
+            == (_oracle_baire_law_violations(s for s, in bp_sets), 0))
+
+
+def _first_failure(law, inputs):
+    """The first input a law fails on, evaluated one by one."""
+    for args in inputs:
+        try:
+            if not law(*args):
+                return render_symbolic(args[0])
+        except Undecidable:
+            pass
+    return None
+
+
+def test_5a_names_the_first_set_a_false_set_law_fails_on(monkeypatch):
+    def law(s):
+        return sym_subset(apply_word("d", s), apply_word("i", s))
+
+    monkeypatch.setattr(verify, "D_SET_LAWS",
+                        verify.D_SET_LAWS + (("x", "dS not in iS", True, law),))
+    check = _property_suites()["5a-d-operator-laws"]
+    first = _first_failure(law, [(s,) for s in _5a_sets(CORPUS)])
+    assert check.status == "fail" and first is not None
+    assert check.details.startswith(f"(x) dS not in iS on {first};")
+
+
+def test_5a_names_the_first_pair_a_false_pair_law_fails_on(monkeypatch):
+    def law(s, t, u):
+        return sym_equal(apply_word("d", sym_intersect(s, t)),
+                         sym_intersect(apply_word("d", s), apply_word("d", t)))
+
+    monkeypatch.setattr(verify, "D_PAIR_LAWS",
+                        verify.D_PAIR_LAWS + (("x", "meet fails", True, law),))
+    check = _property_suites()["5a-d-operator-laws"]
+    sets = _5a_sets(CORPUS)
+    first = _first_failure(law, [(s, t, None) for s, t in zip(sets, sets[1:] + sets[:1])])
+    assert check.status == "fail" and first is not None
+    assert check.details.startswith(f"(x) meet fails on {first};")
+
+
+def test_a_law_that_holds_on_the_witness_is_evaluated_only_on_v_mode_inputs():
+    calls = []
+
+    def law(s):
+        calls.append(s)
+        return True
+
+    sets = [tame(s) for s in CORPUS.random] + [CORPUS.named["V"]]
+    laws = (("x", "fails", True, law), ("y", "fails", False, law))
+    assert verify.law_violations(laws, [(s,) for s in sets], (tame(UNIVERSAL),)) == ([], 0)
+    # x on the witness and on V; y, which is not location-wise, on every set.
+    assert calls.count(tame(UNIVERSAL)) == 1 and calls.count(CORPUS.named["V"]) == 2
+    assert len(calls) == 2 + 1 + len(CORPUS.random)
