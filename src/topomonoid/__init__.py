@@ -11,8 +11,7 @@ from .corpus import Corpus, build_corpus, parse_set_dsl, random_tame, witness
 from .monoid import MonoidTable, enumerate_monoid, parity
 from .poset import OrderRelation, corpus_relation, emit_dot, hasse, proved_relation
 from .realsets import Cell, TameSet, interval, point
-from .rewrite import (CompletionReport, ReductionBudgetError, ValidationReport,
-                      completion_check, normalize, validate_rules)
+from .rewrite import CompletionReport, ReductionBudgetError, completion_check, normalize
 from .rules import BASE, PB, TYPO_LEDGER, AxiomSystem, RewriteRule, get_axioms
 from .verify import VerifyReport, run_verify
 from .vitali import (DEFAULT_PARAMS, SymbolicSet, Undecidable, VitaliParams,

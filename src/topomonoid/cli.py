@@ -99,6 +99,8 @@ def _params(args) -> VitaliParams:
 
 def _check_writable(path: str) -> None:
     """Raise OSError for an unwritable output path, before any work is done."""
+    if not path:
+        raise FileNotFoundError("the output path is empty")
     if os.path.isdir(path):
         raise IsADirectoryError(f"{path} is a directory")
     parent = os.path.dirname(os.path.abspath(path))
@@ -149,7 +151,7 @@ def _cmd_distinguish(args, params) -> int:
 
 
 def _cmd_poset(args, params) -> int:
-    if args.dot:
+    if args.dot is not None:
         _check_writable(args.dot)
     ax = get_axioms(args.axioms)
     elements = enumerate_monoid("kcd", ax).elements
@@ -172,7 +174,7 @@ def _cmd_poset(args, params) -> int:
               f"proved relation {'==' if agree else '!='} corpus relation")
         for a, b in edges:
             print(f"  {render_word(a)} -> {render_word(b)}")
-    if args.dot:
+    if args.dot is not None:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(emit_dot(edges, evens))
         print(f"wrote {args.dot}", file=sys.stderr if args.json else sys.stdout)
@@ -198,11 +200,11 @@ def _cmd_table(args, params) -> int:
 
 
 def _cmd_verify(args, params) -> int:
-    if args.json:
+    if args.json is not None:
         _check_writable(args.json)
     report = verify_mod.run_verify(args.corpus_size, args.seed, params)
     print(report.format_text())
-    if args.json:
+    if args.json is not None:
         verify_mod.write_json(report, args.json)
         print(f"wrote {args.json}")
     return 0 if report.ok else 1

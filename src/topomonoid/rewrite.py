@@ -1,9 +1,10 @@
-"""Normalization of operator words, rule validation, and the closure search.
+"""Normalization of operator words and the closure search.
 
 An axiom system is a finite string-rewriting system: every rule rewrites
 its left-hand side wherever it occurs (rules are two-sided operator
-identities).  Reduction strategy: leftmost position first; at a
-position, rules in table order.
+identities, checked on sets by criterion 6 of verify, not here).
+Reduction strategy: leftmost position first; at a position, rules in
+table order.
 
 Finding a redex is multi-pattern string matching.  Each system compiles
 once to one regular expression, the alternation of its escaped left-hand
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rules import BASE, AxiomSystem
-from .vitali import check_identity, has_baire_property
 from .words import check_word, render_word, word_sort_key
 
 STEP_BUDGET = 10_000
@@ -97,56 +97,6 @@ def normalize(word: str, ax: AxiomSystem = BASE) -> str:
     return _normalize_cached(word, ax)
 
 
-# -- semantic validation ----------------------------------------------------
-
-
-@dataclass
-class RuleResult:
-    label: str
-    tier: str
-    ok: bool
-    checked: int
-    skipped: int
-    counterexample: tuple[str, str, str] | None = None  # (set, lhs image, rhs image)
-
-
-@dataclass
-class ValidationReport:
-    results: list[RuleResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def failures(self) -> list[RuleResult]:
-        return [r for r in self.results if not r.ok]
-
-
-def validate_rules(rules, corpus) -> ValidationReport:
-    """Evaluate both sides of every rule on every corpus set.
-
-    PB-tier rules assert identities that only hold for sets with the
-    Baire property, so they are checked on the Baire-property part of the
-    corpus, and the rest of the corpus counts as skipped; BASE and CONST
-    rules are checked everywhere.  A set on which evaluation is
-    undecidable counts as skipped, never as failed.
-    """
-    if isinstance(rules, AxiomSystem):
-        rules = rules.rules
-    bp_sets = [s for s in corpus if has_baire_property(s) is True]
-    report = ValidationReport()
-    for rule in rules:
-        sets = bp_sets if rule.tier == "PB" else corpus
-        checked, skipped, cex = check_identity(rule.lhs, rule.rhs, sets)
-        skipped += len(corpus) - len(sets)
-        report.results.append(RuleResult(
-            f"{rule.lhs} -> {rule.rhs}", rule.tier, cex is None, checked, skipped, cex))
-    return report
-
-
-# -- closure (completion) checking -------------------------------------------
-
-
 @dataclass
 class CompletionReport:
     ok: bool
@@ -166,12 +116,17 @@ def completion_check(ax: AxiomSystem, gens, candidate=None) -> CompletionReport:
     w*g remain to check.  Passing a candidate detects a weakened rule
     table: products of a correct canonical set stop reducing into it.
     A product that exhausts the step budget is a "stuck at" failure on
-    either path, and on the search path it ends the search.
+    either path, and on the search path it ends the search.  Each distinct
+    product is normalized and reported once (g*e and e*g are one word).
     """
     gens = sorted(set(gens))
     failures: list[str] = []
+    tried: set[str] = set()
 
     def reduced(product):
+        if product in tried:
+            return None
+        tried.add(product)
         try:
             return normalize(product, ax)
         except ReductionBudgetError as exc:

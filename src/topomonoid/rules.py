@@ -20,7 +20,7 @@ the derived rules that spell that shape out, and their provenance says
 which fact each one instantiates.
 
 Every rule is semantically validated against the witness corpus by
-rewrite.validate_rules before being trusted; the identities whose
+criterion 6 of verify (check_rule_validation); the identities whose
 commonly printed forms fail that validation are listed in TYPO_LEDGER
 together with the corrected forms actually shipped.
 """

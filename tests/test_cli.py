@@ -196,6 +196,21 @@ def test_poset_rejects_an_unwritable_dot_path_before_computing(capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("poset", "--dot", ""),
+    ("verify", "--corpus-size", "5", "--json", ""),
+], ids=["poset-dot", "verify-json"])
+def test_empty_output_path_is_an_error_before_any_work(capsys, monkeypatch, argv):
+    def must_not_run(*args):
+        raise AssertionError("work done for an empty output path")
+
+    monkeypatch.setattr("topomonoid.cli.enumerate_monoid", must_not_run)
+    monkeypatch.setattr("topomonoid.verify.run_verify", must_not_run)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_tables_are_deterministic():
     assert even_figure() == even_figure()
     assert vitali_figure() == vitali_figure()

@@ -3,7 +3,7 @@
 import pytest
 
 from topomonoid import verify
-from topomonoid.corpus import build_corpus
+from topomonoid.corpus import build_corpus, parse_set_dsl
 from topomonoid.realsets import UNIVERSAL, render
 from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
 from topomonoid.vitali import (DEFAULT_PARAMS, Undecidable, apply_word, check_identity,
@@ -91,6 +91,42 @@ def test_6_fails_when_a_printed_form_has_other_images(monkeypatch):
     assert check.status == "fail"
     assert check.details == ("printed fkik->fki refuted by {0} u {2} / {0} u {1}, "
                              "not {0} u {1} / {}")
+
+
+def test_6_every_rule_holds_on_a_corpus_with_instances_checked():
+    corpus = build_corpus(size=80, seed=3)
+    check = _checks(verify.check_rule_validation, corpus, DEFAULT_PARAMS)["6-rule-validation"]
+    assert check.status == "pass", check.details
+    sets = corpus.all_sets()
+    bp_sets = [s for s in sets if has_baire_property(s) is True]
+    for rule in PB.rules:
+        checked, _, cex = check_identity(rule.lhs, rule.rhs, bp_sets if rule.tier == "PB" else sets)
+        assert cex is None and checked > 0, rule
+
+
+def test_6_printed_transposed_forms_are_refuted_on_the_documented_witness():
+    doc = parse_set_dsl(verify.DOCUMENTED_REFUTATION)
+    sets = [doc] + build_corpus(size=10, seed=4).all_sets()
+    for lhs, rhs in (("fkik", "fki"), ("fiki", "fik")):
+        _, _, (witness, lhs_img, rhs_img) = check_identity(lhs, rhs, sets)
+        assert witness == "(0,1) u Q(1,2)"
+        assert {lhs_img, rhs_img} == {"{0} u {2}", "{0} u {1}"}
+
+
+def test_6_trivial_involution_holds():
+    sets = build_corpus(size=15, seed=6).all_sets()
+    checked, _, cex = check_identity("cc", "", sets)
+    assert cex is None and checked == len(sets)
+
+
+def test_6_checks_pb_rules_only_on_baire_property_sets():
+    # dc = cid needs the Baire property: V refutes it, yet 6 passes on a
+    # corpus that holds V.
+    v = CORPUS.named["V"]
+    assert v in CORPUS.all_sets() and has_baire_property(v) is not True
+    assert check_identity("dc", "cid", [v])[2] is not None
+    check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
+    assert check.status == "pass", check.details
 
 
 def test_10_fails_on_a_wrong_normal_form(monkeypatch):
