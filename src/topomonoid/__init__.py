@@ -15,10 +15,9 @@ from .rewrite import CompletionReport, ReductionBudgetError, completion_check, n
 from .rules import BASE, PB, TYPO_LEDGER, AxiomSystem, RewriteRule, get_axioms
 from .verify import VerifyReport, run_verify
 from .vitali import (DEFAULT_PARAMS, SymbolicSet, Undecidable, VitaliParams,
-                     apply_word, check_identity, distinguish, has_baire_property,
-                     is_meager, minus_v, plus_v, render_symbolic, sym_apply,
-                     sym_difference, sym_equal, sym_intersect, sym_subset,
-                     sym_union, tame)
+                     apply_word, distinguish, has_baire_property, is_meager,
+                     minus_v, plus_v, render_symbolic, sym_apply, sym_difference,
+                     sym_equal, sym_intersect, sym_subset, sym_union, tame)
 from .words import ParseError, parse_word, render_word
 
 __version__ = "0.1.0"

@@ -128,14 +128,6 @@ def get_axioms(name: str) -> AxiomSystem:
     raise ValueError(f"unknown axiom system {name!r} (expected base or pb)")
 
 
-def export_rules_json(ax: AxiomSystem) -> list[dict]:
-    return [
-        {"lhs": r.lhs, "rhs": r.rhs, "tier": r.tier,
-         "provenance": r.provenance, "status": r.status}
-        for r in ax.rules
-    ]
-
-
 # Identities whose printed forms the exact evaluator refutes, with the
 # corrected forms shipped in the tables above.
 TYPO_LEDGER = (

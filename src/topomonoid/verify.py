@@ -13,22 +13,24 @@ criterion 7 re-runs it) plus soundness (criterion 6 decides each rule on
 every tame set through the witness U and evaluates the three V-mode
 witnesses); its lower bound is criterion 3.
 Confluence is not needed for the counts.
-Word identities go through vitali.check_identity; an undecidable instance
-is a skip in 5a and in 6's rule table and a failure everywhere else.
-Like 5b's equalities, 6's PB-tier rules are checked on Baire-property sets.
 
-Criterion 5's other d-laws go through law_violations, which decides a
-location-wise law on a witness that shows every location: the universal
-witness U for a law in one set, realsets.universal_pair() for a law in
-two.  So 5a and 5b are exact over every tame set and every tame pair, and
-only the plusV/minusV sets (or pairs with one) are evaluated one by one;
-(f), which is not location-wise, is checked set by set.
+Every claim decided on a witness goes through law_violations: 5a's
+d-laws (its word identities among them), 5b's laws and equalities, 5c,
+6's rule table and 10.  It decides a location-wise law on a witness that
+shows every location, U for a law in one set and
+realsets.universal_pair() for a law in two, so each law is exact over
+every tame set or tame pair, and only the plusV/minusV inputs are
+evaluated one by one; (f), which is not location-wise, is evaluated set
+by set.  An undecidable instance is a skip in 5a and in 6's rule table
+and a failure everywhere else.  Like 5b's equalities, 6's PB-tier rules
+are checked on Baire-property sets.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
 from .monoid import enumerate_monoid, parity
@@ -37,9 +39,9 @@ from .realsets import UNIVERSAL, universal_pair
 from .rewrite import completion_check, normalize
 from .rules import BASE, PB, TYPO_LEDGER, get_axioms
 from .tables import even_figure, vitali_figure
-from .vitali import (DEFAULT_PARAMS, Undecidable, apply_word, check_identity,
-                     distinguish, has_baire_property, is_meager, render_symbolic,
-                     sym_difference, sym_equal, sym_subset, sym_union, tame)
+from .vitali import (DEFAULT_PARAMS, Undecidable, apply_word, distinguish,
+                     has_baire_property, is_meager, render_symbolic, sym_difference,
+                     sym_equal, sym_subset, sym_union, tame)
 from .words import render_word
 
 DEFAULT_SEED = 1729
@@ -110,7 +112,6 @@ PB_HASSE_REPAIRED_EDGE = ("iki", "id")
 PB_HASSE = PB_HASSE_PRINTED | {PB_HASSE_REPAIRED_EDGE}
 
 DOCUMENTED_REFUTATION = "(0,1) u Q(1,2)"
-BAIRE_EQUALITIES = (("idc", "cd"), ("id", "cdc"), ("d", "cidc"), ("dc", "kcd"))
 
 
 @dataclass
@@ -243,36 +244,60 @@ def check_vitali_table(checks, params):
 
 # -- criterion 5: property suites ---------------------------------------------
 
-# The laws of 5a that are word identities, each a BASE rule word for word.
-D_LAW_IDENTITIES = (("b", "kd", "d"), ("c", "di", "ki"), ("g", "dd", "d"),
-                    ("h", "dk", "kik"), ("i", "kid", "d"))
+class Law(NamedTuple):
+    """One row of a law table.
 
-# The other laws, one row each: (tag, failure text, location-wise, law).
-# law(S), or law(S, T, S u T) for a pair law, says whether the law holds,
-# or raises Undecidable.  A location-wise law holds exactly when, at every
-# location, a predicate of the (joint) trace or triple there holds: an
-# inclusion, an equality or a meagerness test between images of local
-# expressions (see the realsets docstring).  (f) compares two global
-# properties, so it is checked set by set.
+    holds(S), or holds(S, T, S u T) for a pair law, says whether the law
+    holds, or raises Undecidable.  A failure reads "<text> on <set>".
+    local says that the law holds exactly when, at every location, a
+    predicate of the (joint) trace or triple there holds: an inclusion, an
+    equality or a meagerness test between images of local expressions (see
+    the realsets docstring).  words is the (lhs, rhs) of a word identity.
+    """
+
+    text: str
+    local: bool
+    holds: Callable
+    words: tuple[str, str] | None = None
+
+
+def identity_law(lhs: str, rhs: str, text: str) -> Law:
+    """The word identity lhs = rhs as a law: equal images of each set."""
+    return Law(text, True, lambda s: sym_equal(apply_word(lhs, s), apply_word(rhs, s)),
+               (lhs, rhs))
+
+
+# The witness of a law in one set.
+ON_U = (tame(UNIVERSAL),)
+
+# 5a's laws in one set.  Each identity is a BASE rule word for word.  (f)
+# compares two global properties, so it is evaluated set by set.
 D_SET_LAWS = (
-    ("b", "dS not in kS", True,
-     lambda s: sym_subset(apply_word("d", s), apply_word("k", s))),
-    ("f", "meagerness mismatch", False,
-     lambda s: not s.is_tame() or s.base.is_meager() == apply_word("d", s).base.is_empty()),
-    ("e", "S-dS not meager", True,
-     lambda s: is_meager(sym_difference(s, apply_word("d", s)))),
+    identity_law("kd", "d", "(b) kd = d fails"),
+    identity_law("di", "ki", "(c) di = ki fails"),
+    identity_law("dd", "d", "(g) dd = d fails"),
+    identity_law("dk", "kik", "(h) dk = kik fails"),
+    identity_law("kid", "d", "(i) kid = d fails"),
+    Law("(b) dS not in kS", True,
+        lambda s: sym_subset(apply_word("d", s), apply_word("k", s))),
+    Law("(f) meagerness mismatch", False,
+        lambda s: not s.is_tame() or s.base.is_meager() == apply_word("d", s).base.is_empty()),
+    Law("(e) S-dS not meager", True,
+        lambda s: is_meager(sym_difference(s, apply_word("d", s)))),
 )
 D_PAIR_LAWS = (
-    ("a", "monotonicity fails", True,
-     lambda s, t, u: sym_subset(apply_word("d", s), apply_word("d", u))),
-    ("d", "additivity fails", True,
-     lambda s, t, u: sym_equal(apply_word("d", u),
-                               sym_union(apply_word("d", s), apply_word("d", t)))),
+    Law("(a) monotonicity fails", True,
+        lambda s, t, u: sym_subset(apply_word("d", s), apply_word("d", u))),
+    Law("(d) additivity fails", True,
+        lambda s, t, u: sym_equal(apply_word("d", u),
+                                  sym_union(apply_word("d", s), apply_word("d", t)))),
 )
+# 5b's laws of the Baire-property sets; 5c refutes each equality on V.
 BAIRE_SET_LAWS = (
-    ("b", "dS-S not meager", True,
-     lambda s: is_meager(sym_difference(apply_word("d", s), s))),
-)
+    Law("(b) dS-S not meager", True,
+        lambda s: is_meager(sym_difference(apply_word("d", s), s))),
+) + tuple(identity_law(lhs, rhs, f"{lhs} != {rhs}") for lhs, rhs in (
+    ("idc", "cd"), ("id", "cdc"), ("d", "cidc"), ("dc", "kcd")))
 
 
 def _with_union(s, t):
@@ -291,24 +316,35 @@ def law_violations(laws, inputs, witness, prepare=lambda *sets: sets):
 
     prepare(*sets) gives the laws their arguments.  Each Undecidable, from
     prepare (which then skips the input) or from a law, is one skip, never
-    a pass.  A failure names the input's first set.
+    a pass.  A law stops at its first failing input, which its problem
+    names by the input's first set; problems follow the order of the laws.
 
     Each location-wise law runs first on the witness, a tuple of tame sets
-    that shows every location.  If it holds there cleanly (True, no
-    Undecidable), it holds on every input of tame sets, with the very
-    answer evaluation would give: for tame sets sym_subset and sym_equal
-    are exact set inclusion and equality.  Such inputs count as checked
-    without being evaluated; inputs with a plusV/minusV set are evaluated.
-    Otherwise every input is evaluated, so the first failing input is
-    named whatever the witness says.
+    that shows every location: every gap trace and every (trace,
+    membership, trace) triple of the locality lemma in realsets, or every
+    joint one for a pair.  This is exact in both directions.  If the law
+    holds there cleanly (True, no Undecidable), it holds at every location
+    of every tame input, so on each such input it holds, which is the very
+    answer evaluation would give: for tame sets is_meager is exact, and
+    sym_subset and sym_equal answer True on every true inclusion or
+    equality.  Such inputs count as checked without being evaluated.  If
+    the law fails on the witness, or is undecidable there, the witness
+    itself is a tame input on which it does not hold cleanly, so no tame
+    input is passed unevaluated: each is evaluated, because whether an
+    input fails the law or is undecidable (images that differ by one
+    rational point inside W1) depends on the input.  Inputs with a
+    plusV/minusV set are always evaluated: their images depend on where
+    their breakpoints lie relative to W0 and W1, which no tame witness
+    covers.
     """
     witness_args = prepare(*witness)
-    on_witness = [local and _holds_cleanly(law, witness_args) for _, _, local, law in laws]
-    problems, skipped = [], 0
+    on_witness = [law.local and _holds_cleanly(law.holds, witness_args) for law in laws]
+    first = [None] * len(laws)  # per law, the first set of its first failing input
+    skipped = 0
     for sets in inputs:
         tame_input = all(s.is_tame() for s in sets)
-        pending = [row for row, known in zip(laws, on_witness)
-                   if not (tame_input and known)]
+        pending = [j for j, known in enumerate(on_witness)
+                   if first[j] is None and not (tame_input and known)]
         if not pending:
             continue
         try:
@@ -316,12 +352,14 @@ def law_violations(laws, inputs, witness, prepare=lambda *sets: sets):
         except Undecidable:
             skipped += 1
             continue
-        for tag, text, _, law in pending:
+        for j in pending:
             try:
-                if not law(*args):
-                    problems.append(f"({tag}) {text} on {render_symbolic(sets[0])}")
+                if not laws[j].holds(*args):
+                    first[j] = sets[0]
             except Undecidable:
                 skipped += 1
+    problems = [f"{law.text} on {render_symbolic(s)}"
+                for law, s in zip(laws, first) if s is not None]
     return problems, skipped
 
 
@@ -335,25 +373,14 @@ def d_law_violations(sets) -> tuple[list[str], int]:
     (i) kidS = dS
 
     (a) is checked as dS in d(S u T), and (a) and (d) on each set with the
-    next one, cyclically.  The identities are decided on U by
-    check_identity, (b) and (e) on U and (a) and (d) on the universal pair
-    by law_violations, so each is exact over every tame set or tame pair;
-    (f) is checked set by set.
+    next one, cyclically.  All laws go through law_violations: those in
+    one set on U, (a) and (d) on the universal pair.
     """
-    problems = []
-    skipped = 0
-    for tag, lhs, rhs in D_LAW_IDENTITIES:
-        _, law_skipped, cex = check_identity(lhs, rhs, sets)
-        skipped += law_skipped
-        if cex is not None:
-            problems.append(f"({tag}) {lhs} = {rhs} fails on {cex[0]}")
-    for found, found_skipped in (
-            law_violations(D_SET_LAWS, [(s,) for s in sets], (tame(UNIVERSAL),)),
-            law_violations(D_PAIR_LAWS, list(zip(sets, sets[1:] + sets[:1])),
-                           tuple(map(tame, universal_pair())), _with_union)):
-        problems += found
-        skipped += found_skipped
-    return problems, skipped
+    problems, skipped = law_violations(D_SET_LAWS, [(s,) for s in sets], ON_U)
+    pair_problems, pair_skipped = law_violations(
+        D_PAIR_LAWS, list(zip(sets, sets[1:] + sets[:1])),
+        tuple(map(tame, universal_pair())), _with_union)
+    return problems + pair_problems, skipped + pair_skipped
 
 
 def check_property_suites(checks, corpus):
@@ -365,27 +392,23 @@ def check_property_suites(checks, corpus):
            f"({skipped} undecidable instances skipped)", problems)
 
     bp_sets = [s for s in corpus.all_sets() if has_baire_property(s) is True]
-    problems, skipped = law_violations(BAIRE_SET_LAWS, [(s,) for s in bp_sets],
-                                       (tame(UNIVERSAL),))
+    problems, skipped = law_violations(BAIRE_SET_LAWS, [(s,) for s in bp_sets], ON_U)
     if skipped:
-        problems.append(f"(b) dS-S undecidable on {skipped} property-true sets")
-    for lhs, rhs in BAIRE_EQUALITIES:
-        _, skipped, cex = check_identity(lhs, rhs, bp_sets)
-        if cex is not None:
-            problems.append(f"{lhs} != {rhs} on {cex[0]}")
-        elif skipped:
-            problems.append(f"{lhs} = {rhs} undecidable on {skipped} property-true sets")
+        problems.append(f"{skipped} instances undecidable on property-true sets")
     _check(checks, "5b-baire-equalities",
            f"Baire-property equalities hold on all {len(bp_sets)} property-true corpus sets",
            problems)
 
     problems = []
     v = corpus.named["V"]
-    for lhs, rhs in BAIRE_EQUALITIES:
-        _, skipped, cex = check_identity(lhs, rhs, [v])
+    for law in BAIRE_SET_LAWS:
+        if law.words is None:
+            continue
+        lhs, rhs = law.words
+        refuted, skipped = law_violations((law,), [(v,)], ON_U)
         if skipped:
             problems.append(f"{lhs}V = {rhs}V is undecidable")
-        elif cex is None:
+        elif not refuted:
             problems.append(f"{lhs}V unexpectedly equals {rhs}V")
     _check(checks, "5c-baire-failures-on-vitali",
            "each of the four Baire-property equalities fails on the Vitali witness "
@@ -403,21 +426,25 @@ def check_rule_validation(checks, corpus, params):
     corpus_sets = corpus.all_sets()
     bp_sets = [s for s in corpus_sets if has_baire_property(s) is True]
     problems = []
-    for rule in PB.rules:
-        sets = bp_sets if rule.tier == "PB" else corpus_sets
-        _, _, cex = check_identity(rule.lhs, rule.rhs, sets)
-        if cex is not None:
-            problems.append(f"rule {rule.lhs} -> {rule.rhs} refuted on {cex[0]}")
+    for pb_tier, sets in ((False, corpus_sets), (True, bp_sets)):
+        laws = [identity_law(r.lhs, r.rhs, f"rule {r.lhs} -> {r.rhs} refuted")
+                for r in PB.rules if (r.tier == "PB") == pb_tier]
+        problems += law_violations(laws, [(s,) for s in sets], ON_U)[0]
 
-    # The printed transposed forms must fail, with the documented witness.
+    # The printed transposed forms must fail, with the documented images.
     doc = corpus_mod.parse_set_dsl(DOCUMENTED_REFUTATION, params)
     for lhs, rhs, lhs_img, rhs_img in PRINTED_REFUTATIONS:
-        _, skipped, cex = check_identity(lhs, rhs, [doc])
-        if cex is None:
-            problems.append(f"printed {lhs}->{rhs} was not refuted"
-                            + (" (undecidable)" if skipped else ""))
-        elif cex[1:] != (lhs_img, rhs_img):
-            problems.append(f"printed {lhs}->{rhs} refuted by {cex[1]} / {cex[2]}, "
+        try:
+            left, right = apply_word(lhs, doc), apply_word(rhs, doc)
+            refuted = not sym_equal(left, right)
+        except Undecidable:
+            problems.append(f"printed {lhs}->{rhs} was not refuted (undecidable)")
+            continue
+        images = (render_symbolic(left), render_symbolic(right))
+        if not refuted:
+            problems.append(f"printed {lhs}->{rhs} was not refuted")
+        elif images != (lhs_img, rhs_img):
+            problems.append(f"printed {lhs}->{rhs} refuted by {images[0]} / {images[1]}, "
                             f"not {lhs_img} / {rhs_img}")
     _check(checks, "6-rule-validation",
            f"all {len(PB.rules)} rules pass on the full corpus; the printed "
@@ -479,12 +506,12 @@ def check_rewrite_semantics(checks, corpus, seed):
         for t in range(500):
             word = "".join(rng.choice("kicdf") for _ in range(rng.randint(0, 8)))
             s = tame(corpus.random[t % len(corpus.random)])
-            _, skipped, cex = check_identity(word, normalize(word, ax), [s])
-            if cex is not None:
-                problems.append(f"{ax.name}: {render_word(word)} on {cex[0]}")
-            elif skipped:
-                problems.append(f"{ax.name}: {render_word(word)} undecidable on "
-                                f"{render_symbolic(s)}")
+            text = f"{ax.name}: {render_word(word)}"
+            refuted, skipped = law_violations(
+                (identity_law(word, normalize(word, ax), text),), [(s,)], ON_U)
+            problems += refuted
+            if skipped:
+                problems.append(f"{text} undecidable on {render_symbolic(s)}")
     _check(checks, "10-rewrite-semantics",
            "apply(normalize(w)) = apply(w) for 500 random word/set pairs per "
            "axiom system (words up to length 8)", problems)
@@ -495,6 +522,8 @@ def check_rewrite_semantics(checks, corpus, seed):
 
 def run_verify(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
                params=DEFAULT_PARAMS) -> VerifyReport:
+    if corpus_size < 1:
+        raise ValueError(f"corpus_size must be at least 1, not {corpus_size}")
     report = VerifyReport()
     checks = report.checks
     corpus = corpus_mod.build_corpus(corpus_size, seed, params)

@@ -79,21 +79,6 @@ differ by one rational point inside W1 still come out None: each half is
 undecidable on its own, though together they force False.  That is a known
 completeness defect, pinned by an xfail test and not yet mended.
 
-check_identity decides agreement on all tame inputs at once, on the
-universal witness realsets.UNIVERSAL (U), and this is exact in both
-directions.  If the two images of U are equal, the words agree on every
-tame set: by the locality lemma each image's trace on a gap is a function
-of the gap's trace and its membership at a point a function of the point's
-(trace, membership, trace) triple, and U shows all 4 traces and all 32
-triples; two tame images are sym_equal when their minimal profiles are
-equal, which for tame sets is set equality.  If the images of U differ, U
-itself is a tame set on which the words disagree, so no tame input is
-counted as checked without being evaluated: each is evaluated as before,
-because whether a given set refutes the identity or is undecidable
-(images that differ by one rational point inside W1) depends on the set.
-plusV/minusV inputs are always evaluated, since their images depend on
-where their breakpoints lie relative to W0 and W1, which U does not cover.
-
 Boolean combinations have one case analysis, in sym_union; intersection
 and difference follow by De Morgan:
 
@@ -423,43 +408,6 @@ def distinguish(s: SymbolicSet, ops) -> tuple[int, dict[str, str]]:
             reps.append(img)
         table[render_word(w)] = render_symbolic(img)
     return len(reps), table
-
-
-def check_identity(lhs: str, rhs: str, sets) -> tuple[int, int, tuple[str, str, str] | None]:
-    """Compare the images of two words on each set, up to the first difference.
-
-    Returns (checked, skipped, counterexample).  A set on which either image
-    or their comparison is undecidable is skipped, never counted as agreeing;
-    the counterexample is the rendered (set, lhs image, rhs image), or None.
-
-    At the first tame input both words are walked once on the universal
-    witness U.  If the images are equal, the words agree on every tame set
-    (see the module docstring), so each tame input counts as checked
-    without evaluating either word.  Otherwise tame inputs are evaluated
-    one by one, like plusV/minusV inputs always are.
-    """
-    checked = skipped = 0
-    agree_on_tame = None  # decided on U at the first tame input
-    for s in sets:
-        if s.mode == MODE_TAME:
-            if agree_on_tame is None:
-                u = realsets.UNIVERSAL
-                agree_on_tame = realsets.apply_word(lhs, u) == realsets.apply_word(rhs, u)
-            if agree_on_tame:
-                checked += 1
-                continue
-        try:
-            left = apply_word(lhs, s)
-            right = apply_word(rhs, s)
-            same = sym_equal(left, right)
-        except Undecidable:
-            skipped += 1
-            continue
-        checked += 1
-        if not same:
-            return checked, skipped, (
-                render_symbolic(s), render_symbolic(left), render_symbolic(right))
-    return checked, skipped, None
 
 
 def render_symbolic(s: SymbolicSet) -> str:

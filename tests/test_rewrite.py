@@ -66,18 +66,6 @@ def test_canonical_words_are_irreducible():
             assert normalize(w, ax) == w
 
 
-def test_rules_export_json():
-    from topomonoid.rules import export_rules_json
-
-    rows = export_rules_json(PB)
-    assert {"lhs", "rhs", "tier", "provenance", "status"} <= set(rows[0])
-    assert {"lhs": "dc", "rhs": "cid", "tier": "PB",
-            "provenance": "with every set Baire-measurable, dc = cid",
-            "status": "classical"} in rows
-    tiers = {r["tier"] for r in rows}
-    assert tiers == {"BASE", "PB", "CONST"}
-
-
 def _critical_pairs(rules):
     """Every overlap and inclusion of two left-hand sides, with both one-step reducts.
 

@@ -1,17 +1,21 @@
 """Verify criteria fail, and name the offending set, when a false fact is injected."""
 
+from fractions import Fraction
+
 import pytest
 
-from topomonoid import verify
-from topomonoid.corpus import build_corpus, parse_set_dsl
-from topomonoid.realsets import UNIVERSAL, render
+from topomonoid import realsets, verify
+from topomonoid.corpus import build_corpus, parse_set_dsl, witness
+from topomonoid.realsets import UNIVERSAL, interval, point, render, union
 from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
-from topomonoid.vitali import (DEFAULT_PARAMS, Undecidable, apply_word, check_identity,
-                               has_baire_property, is_meager, render_symbolic,
+from topomonoid.vitali import (DEFAULT_PARAMS, Undecidable, apply_word,
+                               has_baire_property, is_meager, minus_v, render_symbolic,
                                sym_difference, sym_equal, sym_intersect, sym_subset,
                                sym_union, tame)
 
 CORPUS = build_corpus(size=17, seed=1729)
+V = witness("V")
+CV = witness("cV")
 
 
 def _checks(run, *args):
@@ -36,14 +40,27 @@ def test_criteria_pass_on_the_small_corpus():
     assert {c.status for c in checks.values()} == {"pass"}, checks
 
 
+def _identity_violations(lhs, rhs, sets):
+    """law_violations of the one word identity lhs = rhs on each set."""
+    law = verify.identity_law(lhs, rhs, f"{lhs} = {rhs} fails")
+    return verify.law_violations((law,), [(s,) for s in sets], verify.ON_U)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_run_verify_rejects_a_corpus_size_below_one(size):
+    with pytest.raises(ValueError, match="corpus_size must be at least 1"):
+        verify.run_verify(corpus_size=size)
+
+
 def test_d_law_identities_are_base_rules():
     base = {(r.lhs, r.rhs) for r in BASE.rules}
-    assert {(lhs, rhs) for _, lhs, rhs in verify.D_LAW_IDENTITIES} <= base
+    identities = {law.words for law in verify.D_SET_LAWS if law.words is not None}
+    assert len(identities) == 5 and identities <= base
 
 
 def test_5a_fails_on_a_false_d_law(monkeypatch):
-    monkeypatch.setattr(verify, "D_LAW_IDENTITIES",
-                        verify.D_LAW_IDENTITIES + (("x", "d", "k"),))
+    monkeypatch.setattr(verify, "D_SET_LAWS",
+                        verify.D_SET_LAWS + (verify.identity_law("d", "k", "(x) d = k fails"),))
     check = _property_suites()["5a-d-operator-laws"]
     sets = [tame(s) for s in CORPUS.random]
     assert check.status == "fail"
@@ -51,7 +68,8 @@ def test_5a_fails_on_a_false_d_law(monkeypatch):
 
 
 def test_5b_fails_on_a_false_baire_equality(monkeypatch):
-    monkeypatch.setattr(verify, "BAIRE_EQUALITIES", verify.BAIRE_EQUALITIES + (("k", "i"),))
+    monkeypatch.setattr(verify, "BAIRE_SET_LAWS",
+                        verify.BAIRE_SET_LAWS + (verify.identity_law("k", "i", "k != i"),))
     checks = _property_suites()
     check = checks["5b-baire-equalities"]
     assert check.status == "fail"
@@ -61,7 +79,8 @@ def test_5b_fails_on_a_false_baire_equality(monkeypatch):
 
 
 def test_5c_fails_on_an_equality_that_holds_on_v(monkeypatch):
-    monkeypatch.setattr(verify, "BAIRE_EQUALITIES", verify.BAIRE_EQUALITIES + (("kk", "k"),))
+    monkeypatch.setattr(verify, "BAIRE_SET_LAWS",
+                        verify.BAIRE_SET_LAWS + (verify.identity_law("kk", "k", "kk != k"),))
     checks = _property_suites()
     assert checks["5b-baire-equalities"].status == "pass"
     check = checks["5c-baire-failures-on-vitali"]
@@ -100,23 +119,23 @@ def test_6_every_rule_holds_on_a_corpus_with_instances_checked():
     sets = corpus.all_sets()
     bp_sets = [s for s in sets if has_baire_property(s) is True]
     for rule in PB.rules:
-        checked, _, cex = check_identity(rule.lhs, rule.rhs, bp_sets if rule.tier == "PB" else sets)
-        assert cex is None and checked > 0, rule
+        on = bp_sets if rule.tier == "PB" else sets
+        assert on and _identity_violations(rule.lhs, rule.rhs, on) == ([], 0), rule
 
 
 def test_6_printed_transposed_forms_are_refuted_on_the_documented_witness():
     doc = parse_set_dsl(verify.DOCUMENTED_REFUTATION)
     sets = [doc] + build_corpus(size=10, seed=4).all_sets()
     for lhs, rhs in (("fkik", "fki"), ("fiki", "fik")):
-        _, _, (witness, lhs_img, rhs_img) = check_identity(lhs, rhs, sets)
-        assert witness == "(0,1) u Q(1,2)"
-        assert {lhs_img, rhs_img} == {"{0} u {2}", "{0} u {1}"}
+        assert _identity_violations(lhs, rhs, sets) == (
+            [f"{lhs} = {rhs} fails on (0,1) u Q(1,2)"], 0)
+        images = {render_symbolic(apply_word(w, doc)) for w in (lhs, rhs)}
+        assert images == {"{0} u {2}", "{0} u {1}"}
 
 
 def test_6_trivial_involution_holds():
     sets = build_corpus(size=15, seed=6).all_sets()
-    checked, _, cex = check_identity("cc", "", sets)
-    assert cex is None and checked == len(sets)
+    assert _identity_violations("cc", "", sets) == ([], 0)
 
 
 def test_6_checks_pb_rules_only_on_baire_property_sets():
@@ -124,7 +143,7 @@ def test_6_checks_pb_rules_only_on_baire_property_sets():
     # corpus that holds V.
     v = CORPUS.named["V"]
     assert v in CORPUS.all_sets() and has_baire_property(v) is not True
-    assert check_identity("dc", "cid", [v])[2] is not None
+    assert _identity_violations("dc", "cid", [v])[0]
     check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
     assert check.status == "pass", check.details
 
@@ -138,6 +157,10 @@ def test_10_fails_on_a_wrong_normal_form(monkeypatch):
     assert f" on {render(CORPUS.random[0])}; " in check.details
 
 
+def _undecidable(*args):
+    raise Undecidable("injected")
+
+
 @pytest.mark.parametrize("run,args,cid", [
     (verify.check_property_suites, (CORPUS,), "5b-baire-equalities"),
     (verify.check_property_suites, (CORPUS,), "5c-baire-failures-on-vitali"),
@@ -145,7 +168,7 @@ def test_10_fails_on_a_wrong_normal_form(monkeypatch):
     (verify.check_rewrite_semantics, (CORPUS, 1729), "10-rewrite-semantics"),
 ], ids=["5b", "5c", "6", "10"])
 def test_an_undecidable_instance_is_never_a_pass(monkeypatch, run, args, cid):
-    monkeypatch.setattr(verify, "check_identity", lambda lhs, rhs, sets: (0, len(sets), None))
+    monkeypatch.setattr(verify, "apply_word", _undecidable)
     check = _checks(run, *args)[cid]
     assert check.status == "fail"
     assert "undecidable" in check.details
@@ -156,11 +179,32 @@ def test_5a_counts_undecidable_laws_as_skips(monkeypatch):
         CORPUS.named["V"], CORPUS.named["cV"], CORPUS.named["A22"]]
     problems, skipped = verify.d_law_violations(sets)
     assert not problems and skipped == 2
-    monkeypatch.setattr(verify, "check_identity", lambda lhs, rhs, sets: (0, len(sets), None))
-    assert verify.d_law_violations(sets) == ([], skipped + 5 * len(sets))
+    # Undecidable on the witness too, so every set is evaluated and skipped.
+    monkeypatch.setattr(verify, "D_SET_LAWS",
+                        verify.D_SET_LAWS + (verify.Law("(x) fails", True, _undecidable),))
+    assert verify.d_law_violations(sets) == ([], skipped + len(sets))
 
 
 # -- criterion 5 on witnesses agrees with the set-by-set check -----------------
+
+
+def _check_identity_set_by_set(lhs, rhs, sets):
+    """(checked, skipped, counterexample) of lhs = rhs with nothing decided
+    on U: both words on every set, up to the first rendered (set, lhs image,
+    rhs image) that differs."""
+    checked = skipped = 0
+    for s in sets:
+        try:
+            left, right = apply_word(lhs, s), apply_word(rhs, s)
+            same = sym_equal(left, right)
+        except Undecidable:
+            skipped += 1
+            continue
+        checked += 1
+        if not same:
+            return checked, skipped, (
+                render_symbolic(s), render_symbolic(left), render_symbolic(right))
+    return checked, skipped, None
 
 
 def _oracle_d_law_violations(sets):
@@ -168,11 +212,12 @@ def _oracle_d_law_violations(sets):
     laws were decided on witnesses."""
     problems = []
     skipped = 0
-    for tag, lhs, rhs in verify.D_LAW_IDENTITIES:
-        _, law_skipped, cex = check_identity(lhs, rhs, sets)
-        skipped += law_skipped
-        if cex is not None:
-            problems.append(f"({tag}) {lhs} = {rhs} fails on {cex[0]}")
+    for law in verify.D_SET_LAWS:
+        if law.words is not None:
+            _, law_skipped, cex = _check_identity_set_by_set(*law.words, sets)
+            skipped += law_skipped
+            if cex is not None:
+                problems.append(f"{law.text} on {cex[0]}")
     for s in sets:
         ds = apply_word("d", s)
         if not sym_subset(ds, apply_word("k", s)):
@@ -206,11 +251,18 @@ def _oracle_d_law_violations(sets):
 def _oracle_baire_law_violations(bp_sets):
     """5b's set-by-set loop over the property-true sets."""
     problems = []
+    skipped = 0
     for s in bp_sets:
         rest = sym_difference(apply_word("d", s), s)
         if not is_meager(rest):
             problems.append(f"(b) dS-S not meager on {render_symbolic(s)}")
-    return problems
+    for law in verify.BAIRE_SET_LAWS:
+        if law.words is not None:
+            _, law_skipped, cex = _check_identity_set_by_set(*law.words, bp_sets)
+            skipped += law_skipped
+            if cex is not None:
+                problems.append(f"{law.text} on {cex[0]}")
+    return problems, skipped
 
 
 def _5a_sets(corpus):
@@ -226,9 +278,9 @@ def test_laws_on_witnesses_match_the_set_by_set_oracle(seed):
     assert verify.d_law_violations(sets) == expected
     if seed == 1729:
         assert expected == ([], 2)
-    bp_sets = [(s,) for s in corpus.all_sets() if has_baire_property(s) is True]
-    assert (verify.law_violations(verify.BAIRE_SET_LAWS, bp_sets, (tame(UNIVERSAL),))
-            == (_oracle_baire_law_violations(s for s, in bp_sets), 0))
+    bp_sets = [s for s in corpus.all_sets() if has_baire_property(s) is True]
+    assert (verify.law_violations(verify.BAIRE_SET_LAWS, [(s,) for s in bp_sets], verify.ON_U)
+            == _oracle_baire_law_violations(bp_sets))
 
 
 def _first_failure(law, inputs):
@@ -247,11 +299,11 @@ def test_5a_names_the_first_set_a_false_set_law_fails_on(monkeypatch):
         return sym_subset(apply_word("d", s), apply_word("i", s))
 
     monkeypatch.setattr(verify, "D_SET_LAWS",
-                        verify.D_SET_LAWS + (("x", "dS not in iS", True, law),))
+                        verify.D_SET_LAWS + (verify.Law("(x) dS not in iS", True, law),))
     check = _property_suites()["5a-d-operator-laws"]
     first = _first_failure(law, [(s,) for s in _5a_sets(CORPUS)])
     assert check.status == "fail" and first is not None
-    assert check.details.startswith(f"(x) dS not in iS on {first};")
+    assert check.details == f"(x) dS not in iS on {first}"
 
 
 def test_5a_names_the_first_pair_a_false_pair_law_fails_on(monkeypatch):
@@ -260,12 +312,12 @@ def test_5a_names_the_first_pair_a_false_pair_law_fails_on(monkeypatch):
                          sym_intersect(apply_word("d", s), apply_word("d", t)))
 
     monkeypatch.setattr(verify, "D_PAIR_LAWS",
-                        verify.D_PAIR_LAWS + (("x", "meet fails", True, law),))
+                        verify.D_PAIR_LAWS + (verify.Law("(x) meet fails", True, law),))
     check = _property_suites()["5a-d-operator-laws"]
     sets = _5a_sets(CORPUS)
     first = _first_failure(law, [(s, t, None) for s, t in zip(sets, sets[1:] + sets[:1])])
     assert check.status == "fail" and first is not None
-    assert check.details.startswith(f"(x) meet fails on {first};")
+    assert check.details == f"(x) meet fails on {first}"
 
 
 def test_a_law_that_holds_on_the_witness_is_evaluated_only_on_v_mode_inputs():
@@ -276,8 +328,90 @@ def test_a_law_that_holds_on_the_witness_is_evaluated_only_on_v_mode_inputs():
         return True
 
     sets = [tame(s) for s in CORPUS.random] + [CORPUS.named["V"]]
-    laws = (("x", "fails", True, law), ("y", "fails", False, law))
-    assert verify.law_violations(laws, [(s,) for s in sets], (tame(UNIVERSAL),)) == ([], 0)
+    laws = (verify.Law("(x) fails", True, law), verify.Law("(y) fails", False, law))
+    assert verify.law_violations(laws, [(s,) for s in sets], verify.ON_U) == ([], 0)
     # x on the witness and on V; y, which is not location-wise, on every set.
     assert calls.count(tame(UNIVERSAL)) == 1 and calls.count(CORPUS.named["V"]) == 2
     assert len(calls) == 2 + 1 + len(CORPUS.random)
+
+
+# -- word identities through law_violations ------------------------------------
+
+
+def test_an_identity_stops_at_its_first_counterexample():
+    doc = parse_set_dsl("(0,1) u Q(1,2)")
+    empty = tame(realsets.EMPTY)
+    undecidable = minus_v(union(interval(8, 9), point(Fraction(19, 2))))
+    # The law stops at doc, so the undecidable set after it is no skip.
+    assert _identity_violations("fkik", "fki", [empty, doc, V, undecidable]) == (
+        ["fkik = fki fails on (0,1) u Q(1,2)"], 0)
+    assert _identity_violations("fkik", "fik", [empty, doc, V, CV]) == ([], 0)
+
+
+def test_an_identity_skips_undecidable_sets():
+    s = minus_v(union(interval(8, 9), point(Fraction(19, 2))))
+    assert render_symbolic(s) == "(8,9) u {19/2} ∖ V"
+    with pytest.raises(Undecidable):
+        apply_word("k", s)
+    assert _identity_violations("k", "kk", [V, s, CV]) == ([], 1)
+    assert _identity_violations("k", "i", [s, V]) == (["k = i fails on V"], 1)
+
+
+def _shape(s):
+    return s.base.gaps, s.base.pts
+
+
+def test_an_identity_does_not_remember_disagreements():
+    # One shape, two outcomes: k and i differ by the point 17/2 inside W1
+    # (undecidable) and by the point 3 outside it (decidably different).
+    sets = [tame(point(Fraction(17, 2))), tame(point(3))]
+    assert _shape(sets[0]) == _shape(sets[1])
+    assert _identity_violations("k", "i", sets) == (["k = i fails on {3}"], 1)
+
+
+def test_an_identity_does_not_remember_plus_or_minus_v_inputs():
+    arc = interval(Fraction(33, 4), Fraction(67, 8))
+    outside = minus_v(union(arc, point(11)))
+    inside = minus_v(union(arc, point(Fraction(17, 2))))
+    assert render_symbolic(inside) == "(33/4,67/8) u {17/2} ∖ V"
+    assert _shape(outside) == _shape(inside)
+    assert _identity_violations("k", "kk", [outside, inside]) == ([], 1)
+    assert _identity_violations("k", "kk", [inside, outside]) == ([], 1)
+
+
+def test_an_identity_decides_tame_inputs_on_the_universal_witness(monkeypatch):
+    sets = build_corpus(300, seed=4100).all_sets()
+    v_mode = [s for s in sets if not s.is_tame()]
+    assert v_mode and len(v_mode) < len(sets)
+    evaluated = []
+
+    def recording_apply_word(word, s):
+        evaluated.append(s)
+        return apply_word(word, s)
+
+    monkeypatch.setattr(verify, "apply_word", recording_apply_word)
+    u = verify.ON_U[0]
+    # The words agree on U: no tame input is evaluated, every V-mode input is.
+    assert _identity_violations("kikik", "kik", sets) == ([], 0)
+    assert evaluated == [u, u] + [s for s in v_mode for _ in ("lhs", "rhs")]
+    # They differ on U: tame inputs are evaluated one by one.
+    evaluated.clear()
+    tame_point = tame(point(3))
+    assert _identity_violations("k", "i", [tame_point]) == (["k = i fails on {3}"], 0)
+    assert evaluated == [u, u, tame_point, tame_point]
+
+
+def test_an_identity_matches_the_set_by_set_check():
+    sets = build_corpus(200, seed=4200).all_sets()
+    sets += [tame(point(Fraction(17, 2))), tame(point(3)),
+             minus_v(union(interval(8, 9), point(Fraction(19, 2))))]
+    pairs = [("kikik", "kik"), ("fkik", "fik"), ("fkik", "fki"), ("k", "i"),
+             ("k", "kk"), ("dk", "kd"), ("cdc", "i"), ("dd", "d"), ("f", "ff")]
+    outcomes = set()
+    for lhs, rhs in pairs:
+        for order in (sets, sets[::-1]):
+            _, skipped, cex = _check_identity_set_by_set(lhs, rhs, order)
+            expected = [f"{lhs} = {rhs} fails on {cex[0]}"] if cex else []
+            assert _identity_violations(lhs, rhs, order) == (expected, skipped), (lhs, rhs)
+            outcomes.add((skipped > 0, cex is None))
+    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}

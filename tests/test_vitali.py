@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from topomonoid import realsets, vitali
-from topomonoid.corpus import build_corpus, parse_set_dsl, random_tame, witness
+from topomonoid.corpus import build_corpus, random_tame, witness
 from topomonoid.monoid import enumerate_monoid
 from topomonoid.realsets import interval, point, union
 from topomonoid.rules import BASE, PB
 from topomonoid.vitali import (Undecidable, VitaliParams, apply_word,
-                               check_identity, distinguish, has_baire_property, is_meager,
+                               distinguish, has_baire_property, is_meager,
                                minus_v, plus_v, render_symbolic, sym_apply,
                                sym_difference, sym_equal,
                                sym_intersect, sym_subset, sym_union, tame)
@@ -144,98 +144,6 @@ def test_distinguish_counts():
     assert set(table.values()) == {"{}", "(-inf,inf)"}
     n, _ = distinguish(witness("A18"), enumerate_monoid("kcd", PB).elements)
     assert n == 18
-
-
-def test_check_identity_returns_the_first_counterexample():
-    doc = parse_set_dsl("(0,1) u Q(1,2)")
-    empty = tame(realsets.EMPTY)
-    assert check_identity("fkik", "fki", [empty, doc, V]) == (
-        2, 0, ("(0,1) u Q(1,2)", "{0} u {2}", "{0} u {1}"))
-    assert check_identity("fkik", "fik", [empty, doc, V, CV]) == (4, 0, None)
-
-
-def test_check_identity_skips_undecidable_sets():
-    s = minus_v(union(interval(8, 9), point(Fraction(19, 2))))
-    assert render_symbolic(s) == "(8,9) u {19/2} ∖ V"
-    with pytest.raises(Undecidable):
-        apply_word("k", s)
-    assert check_identity("k", "kk", [V, s, CV]) == (2, 1, None)
-    assert check_identity("k", "i", [s, V]) == (1, 1, ("V", "[8,10]", "{}"))
-
-
-def _shape(s):
-    return s.base.gaps, s.base.pts
-
-
-def test_check_identity_does_not_remember_disagreements():
-    # One shape, two outcomes: k and i differ by the point 17/2 inside W1
-    # (undecidable) and by the point 3 outside it (decidably different).
-    sets = [tame(point(Fraction(17, 2))), tame(point(3))]
-    assert _shape(sets[0]) == _shape(sets[1])
-    assert check_identity("k", "i", sets) == (1, 1, ("{3}", "{3}", "{}"))
-
-
-def test_check_identity_does_not_remember_plus_or_minus_v_inputs():
-    arc = interval(Fraction(33, 4), Fraction(67, 8))
-    outside = minus_v(union(arc, point(11)))
-    inside = minus_v(union(arc, point(Fraction(17, 2))))
-    assert render_symbolic(inside) == "(33/4,67/8) u {17/2} ∖ V"
-    assert _shape(outside) == _shape(inside)
-    assert check_identity("k", "kk", [outside, inside]) == (1, 1, None)
-    assert check_identity("k", "kk", [inside, outside]) == (1, 1, None)
-
-
-def test_check_identity_decides_tame_inputs_on_the_universal_witness(monkeypatch):
-    sets = build_corpus(300, seed=4100).all_sets()
-    v_mode = [s for s in sets if not s.is_tame()]
-    assert v_mode and len(v_mode) < len(sets)
-    evaluated = []
-
-    def recording_apply_word(word, s):
-        evaluated.append(s)
-        return apply_word(word, s)
-
-    monkeypatch.setattr(vitali, "apply_word", recording_apply_word)
-    # The words agree on U: no tame input is evaluated, every V-mode input is.
-    assert check_identity("kikik", "kik", sets) == (len(sets), 0, None)
-    assert evaluated == [s for s in v_mode for _ in ("lhs", "rhs")]
-    # They differ on U: tame inputs are evaluated one by one.
-    evaluated.clear()
-    tame_point = tame(point(3))
-    assert check_identity("k", "i", [tame_point]) == (1, 0, ("{3}", "{3}", "{}"))
-    assert evaluated == [tame_point, tame_point]
-
-
-def _check_identity_set_by_set(lhs, rhs, sets):
-    """check_identity with nothing decided on U: both words on every set."""
-    checked = skipped = 0
-    for s in sets:
-        try:
-            left, right = apply_word(lhs, s), apply_word(rhs, s)
-            same = sym_equal(left, right)
-        except Undecidable:
-            skipped += 1
-            continue
-        checked += 1
-        if not same:
-            return checked, skipped, (
-                render_symbolic(s), render_symbolic(left), render_symbolic(right))
-    return checked, skipped, None
-
-
-def test_check_identity_matches_the_set_by_set_check():
-    sets = build_corpus(200, seed=4200).all_sets()
-    sets += [tame(point(Fraction(17, 2))), tame(point(3)),
-             minus_v(union(interval(8, 9), point(Fraction(19, 2))))]
-    pairs = [("kikik", "kik"), ("fkik", "fik"), ("fkik", "fki"), ("k", "i"),
-             ("k", "kk"), ("dk", "kd"), ("cdc", "i"), ("dd", "d"), ("f", "ff")]
-    outcomes = set()
-    for lhs, rhs in pairs:
-        for order in (sets, sets[::-1]):
-            got = check_identity(lhs, rhs, order)
-            assert got == _check_identity_set_by_set(lhs, rhs, order), (lhs, rhs)
-            outcomes.add((got[1] > 0, got[2] is None))
-    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_combinations():
