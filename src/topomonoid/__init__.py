@@ -9,11 +9,11 @@ real-line sets extended by one axiomatized Vitali atom.
 
 from .corpus import Corpus, build_corpus, parse_set_dsl, random_tame, witness
 from .monoid import MonoidTable, enumerate_monoid, parity
-from .poset import OrderRelation, corpus_relation, emit_dot, hasse, proved_relation
+from .poset import OrderRelation, emit_dot, hasse, proved_relation
 from .realsets import Cell, TameSet, interval, point
 from .rewrite import CompletionReport, ReductionBudgetError, completion_check, normalize
 from .rules import BASE, PB, TYPO_LEDGER, AxiomSystem, RewriteRule, get_axioms
-from .verify import VerifyReport, run_verify
+from .verify import VerifyReport, corpus_relation, run_verify
 from .vitali import (DEFAULT_PARAMS, SymbolicSet, Undecidable, VitaliParams,
                      apply_word, distinguish, has_baire_property, is_meager,
                      minus_v, plus_v, render_symbolic, sym_apply, sym_difference,

@@ -24,7 +24,7 @@ from . import corpus as corpus_mod
 from . import realsets
 from . import verify as verify_mod
 from .monoid import enumerate_monoid, parity
-from .poset import corpus_relation, emit_dot, hasse, proved_relation
+from .poset import emit_dot, hasse, proved_relation
 from .rewrite import ReductionBudgetError, normalize
 from .rules import get_axioms
 from .tables import even_figure, format_rows, kfd_counts, vitali_figure
@@ -158,7 +158,7 @@ def _cmd_poset(args, params) -> int:
     evens = tuple(w for w in elements if parity(w) == "even")
     proved = proved_relation(evens, ax)
     witnesses = [corpus_mod.witness(n, params) for n in corpus_mod.WITNESS_NAMES]
-    empirical = corpus_relation(evens, witnesses)
+    empirical = verify_mod.corpus_relation(evens, witnesses)
     agree = proved.leq == empirical.leq
     edges = hasse(proved)
     if args.json:
@@ -188,7 +188,8 @@ def _cmd_table(args, params) -> int:
     elif args.name == "vitali":
         rows = []
         for label, value, printed in vitali_figure(params):
-            note = "" if printed is None else f"printed as {printed!r}; see typo ledger"
+            note = ("" if printed is None or params != DEFAULT_PARAMS
+                    else f"printed as {printed!r}; see typo ledger")
             rows.append((label, value, note))
         print(format_rows(rows, headers=("operator", "derived value", "note")))
     else:

@@ -1,16 +1,12 @@
 """The pointwise partial order o1 <= o2 (o1 A inside o2 A for every A).
 
-Two independent constructions that must agree at acceptance:
-
-  * proved_relation — the closure of a small set of proved generator
-    inequalities under transitivity, left composition by the monotone
-    operators k, i, d, order reversal under a left c, right composition
-    by any word, and normalization;
-  * corpus_relation — the over-approximation "not refuted by any corpus
-    witness", which shrinks toward the true order as witnesses are added.
-
-Soundness (proved inside corpus, entrywise) is an invariant; equality on
-the even operators is an acceptance criterion.
+proved_relation is the closure of a small set of proved generator
+inequalities under transitivity, left composition by the monotone
+operators k, i, d, order reversal under a left c, right composition by
+any word, and normalization.  It is derived on the rewrite side, apart
+from the set algebra; the order that no witness refutes is
+verify.corpus_relation, and criterion 8 asks the two to agree on the even
+operators.  hasse and emit_dot draw either order.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from dataclasses import dataclass
 from .monoid import enumerate_monoid
 from .rewrite import normalize
 from .rules import AxiomSystem
-from .vitali import SymbolicSet, Undecidable, apply_word, render_symbolic, sym_subset
 from .words import render_word, word_sort_key
 
 # Proved generator inequalities: extensivity/contraction of closure and
@@ -42,24 +37,12 @@ PROVED_SEEDS = (
 class OrderRelation:
     elements: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
-    provenance: str  # proved-chain | corpus-only
-    notes: tuple[str, ...] = ()
 
     def index(self, word: str) -> int:
         return self.elements.index(word)
 
     def holds(self, a: str, b: str) -> bool:
         return self.leq[self.index(a)][self.index(b)]
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "elements": [render_word(w) for w in self.elements],
-            "leq": [list(row) for row in self.leq],
-            "provenance": [[self.provenance if v else None for v in row]
-                           for row in self.leq],
-            "notes": list(self.notes),
-        }
 
 
 def proved_relation(elements, ax: AxiomSystem) -> OrderRelation:
@@ -98,43 +81,7 @@ def proved_relation(elements, ax: AxiomSystem) -> OrderRelation:
                 add(ambient[j], v)
     rows = tuple(
         tuple(leq[index[a]][index[b]] for b in elements) for a in elements)
-    return OrderRelation(elements, rows, "proved-chain")
-
-
-def corpus_relation(elements, corpus_sets) -> OrderRelation:
-    """leq(a, b) iff no corpus witness refutes aS inside bS; skips undecidables."""
-    elements = tuple(elements)
-    corpus_sets = list(corpus_sets)
-    notes: list[str] = []
-    images: dict[tuple[int, int], SymbolicSet | None] = {}
-    for si, s in enumerate(corpus_sets):
-        for wi, w in enumerate(elements):
-            try:
-                images[(si, wi)] = apply_word(w, s)
-            except Undecidable:
-                images[(si, wi)] = None
-                notes.append(f"{render_word(w)} not evaluable on {render_symbolic(s)}")
-    rows = []
-    for ai, a in enumerate(elements):
-        row = []
-        for bi, b in enumerate(elements):
-            holds = True
-            for si, s in enumerate(corpus_sets):
-                left, right = images[(si, ai)], images[(si, bi)]
-                if left is None or right is None:
-                    continue
-                try:
-                    if not sym_subset(left, right):
-                        holds = False
-                        break
-                except Undecidable:
-                    notes.append(
-                        f"{render_word(a)} <= {render_word(b)} undecided on "
-                        f"{render_symbolic(s)}; decided by the rest of the corpus")
-                    continue
-            row.append(holds)
-        rows.append(tuple(row))
-    return OrderRelation(elements, tuple(rows), "corpus-only", tuple(notes))
+    return OrderRelation(elements, rows)
 
 
 def hasse(rel: OrderRelation) -> list[tuple[str, str]]:

@@ -16,14 +16,18 @@ Confluence is not needed for the counts.
 
 Every claim decided on a witness goes through law_violations: 5a's
 d-laws (its word identities among them), 5b's laws and equalities, 5c,
-6's rule table and 10.  It decides a location-wise law on a witness that
-shows every location, U for a law in one set and
-realsets.universal_pair() for a law in two, so each law is exact over
-every tame set or tame pair, and only the plusV/minusV inputs are
-evaluated one by one; (f), which is not location-wise, is evaluated set
-by set.  An undecidable instance is a skip in 5a and in 6's rule table
-and a failure everywhere else.  Like 5b's equalities, 6's PB-tier rules
-are checked on Baire-property sets.
+6's rule table, 8's corpus order and 10.  Every law is location-wise, so
+it is decided on a witness that shows every location, U for a law in one
+set and realsets.universal_pair() for a law in two; each law is then
+exact over every tame set or tame pair, and only the plusV/minusV inputs
+are evaluated one by one.  An undecidable instance is a skip in 5a, in
+6's rule table and in 8's corpus order, and a failure everywhere else.
+Like 5b's equalities, 6's PB-tier rules are checked on Baire-property
+sets.
+
+Criterion 8 compares two orders on the even operators: the proved one
+(poset.proved_relation, on the rewrite side) and corpus_relation, the
+inclusions that no named witness refutes.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
 from .monoid import enumerate_monoid, parity
-from .poset import corpus_relation, hasse, proved_relation
+from .poset import OrderRelation, hasse, proved_relation
 from .realsets import UNIVERSAL, universal_pair
 from .rewrite import completion_check, normalize
 from .rules import BASE, PB, TYPO_LEDGER, get_axioms
@@ -249,52 +253,57 @@ class Law(NamedTuple):
 
     holds(S), or holds(S, T, S u T) for a pair law, says whether the law
     holds, or raises Undecidable.  A failure reads "<text> on <set>".
-    local says that the law holds exactly when, at every location, a
-    predicate of the (joint) trace or triple there holds: an inclusion, an
-    equality or a meagerness test between images of local expressions (see
-    the realsets docstring).  words is the (lhs, rhs) of a word identity.
+    Every law is location-wise: on a tame input it holds exactly when, at
+    every location, a predicate of the (joint) trace or triple there
+    holds: an inclusion, an equality or a meagerness test between images
+    of local expressions (see the realsets docstring).  words is the
+    (lhs, rhs) of a word identity.
     """
 
     text: str
-    local: bool
     holds: Callable
     words: tuple[str, str] | None = None
 
 
 def identity_law(lhs: str, rhs: str, text: str) -> Law:
     """The word identity lhs = rhs as a law: equal images of each set."""
-    return Law(text, True, lambda s: sym_equal(apply_word(lhs, s), apply_word(rhs, s)),
+    return Law(text, lambda s: sym_equal(apply_word(lhs, s), apply_word(rhs, s)),
                (lhs, rhs))
 
 
 # The witness of a law in one set.
 ON_U = (tame(UNIVERSAL),)
 
-# 5a's laws in one set.  Each identity is a BASE rule word for word.  (f)
-# compares two global properties, so it is evaluated set by set.
+
+def _differs_from_d_by_a_meager_set(s) -> bool:
+    ds = apply_word("d", s)
+    return not s.is_tame() or is_meager(sym_union(sym_difference(s, ds),
+                                                  sym_difference(ds, s)))
+
+
+# 5a's laws in one set.  Each identity is a BASE rule word for word.
 D_SET_LAWS = (
     identity_law("kd", "d", "(b) kd = d fails"),
     identity_law("di", "ki", "(c) di = ki fails"),
     identity_law("dd", "d", "(g) dd = d fails"),
     identity_law("dk", "kik", "(h) dk = kik fails"),
     identity_law("kid", "d", "(i) kid = d fails"),
-    Law("(b) dS not in kS", True,
+    Law("(b) dS not in kS",
         lambda s: sym_subset(apply_word("d", s), apply_word("k", s))),
-    Law("(f) meagerness mismatch", False,
-        lambda s: not s.is_tame() or s.base.is_meager() == apply_word("d", s).base.is_empty()),
-    Law("(e) S-dS not meager", True,
+    Law("(f) meagerness mismatch", _differs_from_d_by_a_meager_set),
+    Law("(e) S-dS not meager",
         lambda s: is_meager(sym_difference(s, apply_word("d", s)))),
 )
 D_PAIR_LAWS = (
-    Law("(a) monotonicity fails", True,
+    Law("(a) monotonicity fails",
         lambda s, t, u: sym_subset(apply_word("d", s), apply_word("d", u))),
-    Law("(d) additivity fails", True,
+    Law("(d) additivity fails",
         lambda s, t, u: sym_equal(apply_word("d", u),
                                   sym_union(apply_word("d", s), apply_word("d", t)))),
 )
 # 5b's laws of the Baire-property sets; 5c refutes each equality on V.
 BAIRE_SET_LAWS = (
-    Law("(b) dS-S not meager", True,
+    Law("(b) dS-S not meager",
         lambda s: is_meager(sym_difference(apply_word("d", s), s))),
 ) + tuple(identity_law(lhs, rhs, f"{lhs} != {rhs}") for lhs, rhs in (
     ("idc", "cd"), ("id", "cdc"), ("d", "cidc"), ("dc", "kcd")))
@@ -319,10 +328,10 @@ def law_violations(laws, inputs, witness, prepare=lambda *sets: sets):
     a pass.  A law stops at its first failing input, which its problem
     names by the input's first set; problems follow the order of the laws.
 
-    Each location-wise law runs first on the witness, a tuple of tame sets
-    that shows every location: every gap trace and every (trace,
-    membership, trace) triple of the locality lemma in realsets, or every
-    joint one for a pair.  This is exact in both directions.  If the law
+    Each law, being location-wise (see Law), runs first on the witness, a
+    tuple of tame sets that shows every location: every gap trace and every
+    (trace, membership, trace) triple of the locality lemma in realsets, or
+    every joint one for a pair.  This is exact in both directions.  If the law
     holds there cleanly (True, no Undecidable), it holds at every location
     of every tame input, so on each such input it holds, which is the very
     answer evaluation would give: for tame sets is_meager is exact, and
@@ -338,7 +347,7 @@ def law_violations(laws, inputs, witness, prepare=lambda *sets: sets):
     covers.
     """
     witness_args = prepare(*witness)
-    on_witness = [law.local and _holds_cleanly(law.holds, witness_args) for law in laws]
+    on_witness = [_holds_cleanly(law.holds, witness_args) for law in laws]
     first = [None] * len(laws)  # per law, the first set of its first failing input
     skipped = 0
     for sets in inputs:
@@ -373,8 +382,12 @@ def d_law_violations(sets) -> tuple[list[str], int]:
     (i) kidS = dS
 
     (a) is checked as dS in d(S u T), and (a) and (d) on each set with the
-    next one, cyclically.  All laws go through law_violations: those in
-    one set on U, (a) and (d) on the universal pair.
+    next one, cyclically.  (f) is checked in the location-wise form "S and
+    dS differ by a meager set M", which with (i) gives (f) on a tame S: if
+    S is meager, so is dS, inside S u M; then idS is open and meager, so
+    empty by the Baire category theorem, and dS = kidS = k0 = 0.  If dS
+    is empty, S lies inside M.  All laws go through law_violations: those
+    in one set on U, (a) and (d) on the universal pair.
     """
     problems, skipped = law_violations(D_SET_LAWS, [(s,) for s in sets], ON_U)
     pair_problems, pair_skipped = law_violations(
@@ -453,6 +466,23 @@ def check_rule_validation(checks, corpus, params):
 
 
 # -- criterion 8 ---------------------------------------------------------------
+
+
+def corpus_relation(elements, witness_sets) -> OrderRelation:
+    """a <= b iff no witness S refutes aS inside bS.
+
+    Each pair (a, b) is one inclusion law.  prepare evaluates a witness's
+    images of all the elements once, so a witness with an undecidable
+    image is skipped, like an undecidable inclusion.
+    """
+    elements = tuple(elements)
+    texts = [[f"{render_word(a)} <= {render_word(b)}" for b in elements] for a in elements]
+    laws = [Law(texts[i][j], lambda images, i=i, j=j: sym_subset(images[i], images[j]))
+            for i in range(len(elements)) for j in range(len(elements))]
+    problems, _ = law_violations(laws, [(s,) for s in witness_sets], ON_U,
+                                 lambda s: (tuple(apply_word(w, s) for w in elements),))
+    refuted = {p.split(" on ")[0] for p in problems}
+    return OrderRelation(elements, tuple(tuple(t not in refuted for t in row) for row in texts))
 
 
 def check_poset(checks, params):

@@ -76,6 +76,17 @@ def test_poset_command(capsys, tmp_path):
     assert len(data["hasse_edges"]) == 11
 
 
+def test_poset_matches_golden_file(capsys):
+    # The file holds the exit code and stdout of `poset` and `poset --json`
+    # under both axiom systems, at the default W0/W1 and three others.
+    golden = json.loads((Path(__file__).parent / "data" / "poset_cli.json")
+                        .read_text(encoding="utf-8"))
+    assert len(golden) == 16
+    for case in golden:
+        code, out, _ = run(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
 def test_poset_json_with_dot_keeps_stdout_pure_json(capsys, tmp_path):
     dot = tmp_path / "h.dot"
     code, out, err = run(capsys, "poset", "--json", "--dot", str(dot))
@@ -92,6 +103,16 @@ def test_table_commands(capsys):
     assert code == 0 and "typo ledger" in out and "[8,9]" in out
     code, out, _ = run(capsys, "table", "kfd-counts")
     assert code == 0 and "46" in out and "40" in out and "20" in out
+
+
+def test_vitali_table_prints_typo_notes_only_at_the_default_parameters(capsys):
+    # The typo ledger is about the paper's W0 = (8,9), W1 = (8,10).
+    code, out, _ = run(capsys, "table", "vitali")
+    assert code == 0
+    assert "printed as 'R - [8,10]'" in out and "printed as 'R - (8,10)'" in out
+    code, out, _ = run(capsys, "--w0", "(0,1)", "--w1", "(-1,2)", "table", "vitali")
+    assert code == 0 and "(-inf,0) u (1,inf)" in out
+    assert "printed as" not in out and "typo ledger" not in out
 
 
 def test_verify_small(capsys, tmp_path):

@@ -2,10 +2,10 @@ import pytest
 
 from topomonoid.corpus import WITNESS_NAMES, witness
 from topomonoid.monoid import enumerate_monoid, parity
-from topomonoid.poset import (OrderRelation, corpus_relation, emit_dot, hasse,
-                              proved_relation)
+from topomonoid.poset import OrderRelation, emit_dot, hasse, proved_relation
 from topomonoid.rules import BASE, PB
-from topomonoid.verify import PB_HASSE, PB_HASSE_PRINTED, PB_HASSE_REPAIRED_EDGE, ZFC_HASSE
+from topomonoid.verify import (PB_HASSE, PB_HASSE_PRINTED, PB_HASSE_REPAIRED_EDGE, ZFC_HASSE,
+                               corpus_relation)
 
 
 def evens(ax):
@@ -63,8 +63,7 @@ def test_hasse_pb_is_printed_plus_repaired_edge():
 
 def test_hasse_trivial_chain():
     rel = OrderRelation(("i", "", "k"),
-                        ((True, True, True), (False, True, True), (False, False, True)),
-                        "proved-chain")
+                        ((True, True, True), (False, True, True), (False, False, True)))
     assert hasse(rel) == [("", "k"), ("i", "")]
 
 
@@ -84,12 +83,12 @@ def test_hasse_idempotent_under_transitive_closure():
             for j in range(len(els)):
                 if not leq[i][j] and any(leq[i][z] and leq[z][j] for z in range(len(els))):
                     leq[i][j] = changed = True
-    again = OrderRelation(els, tuple(tuple(r) for r in leq), "proved-chain")
+    again = OrderRelation(els, tuple(tuple(r) for r in leq))
     assert hasse(again) == edges
 
 
 def test_hasse_rejects_cycles():
-    rel = OrderRelation(("i", "k"), ((True, True), (True, True)), "corpus-only")
+    rel = OrderRelation(("i", "k"), ((True, True), (True, True)))
     with pytest.raises(ValueError):
         hasse(rel)
 
@@ -120,19 +119,8 @@ def test_corpus_relation_skips_undecidable_witnesses():
     from topomonoid.vitali import plus_v
 
     # i of this punctured plusV base is undecidable; the pair must be
-    # decided by the remaining witnesses, with a note.
+    # decided by the remaining witnesses.
     awkward = plus_v(union(interval(8, Fraction(17, 2)), interval(Fraction(17, 2), 9)))
     rel = corpus_relation(("", "i", "k"), [awkward] + witness_sets())
     assert rel.holds("i", "")
     assert not rel.holds("", "i")
-    assert any("not evaluable" in n for n in rel.notes)
-
-
-def test_relation_json():
-    rel = proved_relation(evens(PB), PB)
-    data = rel.to_json()
-    assert data["elements"][0] == "e"
-    assert len(data["leq"]) == 9
-    i, k = rel.index("i"), rel.index("k")
-    assert data["provenance"][i][k] == "proved-chain"
-    assert data["provenance"][k][i] is None
