@@ -56,7 +56,13 @@ def test_json_report_matches_golden_file(report):
     assert text == golden.read_text(encoding="utf-8")
 
 
-def test_text_report_matches_golden_file(report):
-    # The file is `topomonoid verify` stdout at the default corpus and seed.
-    golden = Path(__file__).parent / "data" / "verify_default.txt"
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 2729, 7])
+def test_text_report_matches_golden_file(report, seed):
+    # The file is `topomonoid verify --seed SEED` stdout at the default corpus.
+    if seed == DEFAULT_SEED:
+        name = "verify_default.txt"
+    else:
+        report = run_verify(corpus_size=DEFAULT_CORPUS_SIZE, seed=seed)
+        name = f"verify_seed_{seed}.txt"
+    golden = Path(__file__).parent / "data" / name
     assert report.format_text() + "\n" == golden.read_text(encoding="utf-8")
