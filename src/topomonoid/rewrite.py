@@ -17,9 +17,10 @@ is unchanged and held no redex, so a new redex must overlap the
 rewritten text.
 
 The step budget is a hard tripwire, not a tuning knob: the longest
-reduction of any word over kicdf of length <= 7 takes 19 steps under
-either system, so exhausting the budget means a missing derived rule and
-raises instead of silently accepting.
+reduction of any word over kicdf of length <= 7 takes 18 steps under
+either system (tests/test_rewrite.py::test_step_budget_figure), so
+exhausting the budget means a missing derived rule and raises instead of
+silently accepting.
 """
 
 from __future__ import annotations
@@ -91,7 +92,10 @@ def normalize(word: str, ax: AxiomSystem = BASE) -> str:
     and every critical pair of the rule table joins
     (tests/test_rewrite.py::test_critical_pairs_join), so it is locally
     confluent, and a terminating, locally confluent system is confluent by
-    Newman's lemma.
+    Newman's lemma.  The table is the reduced completion of its classical
+    rules
+    (tests/test_rewrite.py::test_table_is_the_reduced_completion_of_its_classical_rules),
+    so these normal forms are those of the classical rules' congruence.
     """
     check_word(word)
     return _normalize_cached(word, ax)

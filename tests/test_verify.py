@@ -120,6 +120,16 @@ def test_6_fails_on_a_false_rule(monkeypatch):
     assert check.details == f"rule k -> i refuted on {first}"
 
 
+def test_6_fails_on_a_false_rule_only_in_base(monkeypatch):
+    # dcd = d fails on R: dR = R, but dcdR = cidR is empty.
+    bad = RewriteRule("dcd", "d", "BASE", "false rule under test", "derived")
+    monkeypatch.setattr(verify, "BASE", AxiomSystem("BASE+bad", BASE.rules + (bad,)))
+    check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
+    assert check.status == "fail"
+    first = _first_set_where_words_differ("dcd", "d", CORPUS.all_sets())
+    assert check.details == f"rule dcd -> d refuted on {first}"
+
+
 def test_6_fails_when_a_printed_form_is_not_refuted(monkeypatch):
     monkeypatch.setattr(verify, "PRINTED_REFUTATIONS", (("fkik", "fik", "{0} u {2}", "{}"),))
     check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
@@ -141,7 +151,7 @@ def test_6_every_rule_holds_on_a_corpus_with_instances_checked():
     assert check.status == "pass", check.details
     sets = corpus.all_sets()
     bp_sets = [s for s in sets if has_baire_property(s) is True]
-    for rule in PB.rules:
+    for rule in dict.fromkeys(BASE.rules + PB.rules):
         on = bp_sets if rule.tier == "PB" else sets
         assert on and _identity_violations(rule.lhs, rule.rhs, on) == ([], 0), rule
 
