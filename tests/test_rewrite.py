@@ -156,7 +156,7 @@ def _reduce(word, rules):
             return word
 
 
-def _complete(equations, order, max_rounds=20):
+def _complete(equations, order):
     """Knuth-Bendix completion with interreduction.
 
     Each equation is reduced by the rules so far and, unless both sides meet,
@@ -165,10 +165,11 @@ def _complete(equations, order, max_rounds=20):
     every right side is reduced again.  Once no equation is left, the
     critical pairs that do not join become the next round's equations.
     The result is the reduced complete system of (lhs, rhs) rules for the
-    congruence the equations generate.
+    congruence the equations generate.  Both tables complete in 3 rounds;
+    the bound turns a completion that never ends into a failure.
     """
     rules = set()
-    for _ in range(max_rounds):
+    for _ in range(20):
         while equations:
             a, b = (_reduce(w, rules) for w in equations.pop())
             if a == b:
@@ -183,7 +184,7 @@ def _complete(equations, order, max_rounds=20):
                      if _reduce(a, rules) != _reduce(b, rules)]
         if not equations:
             return rules
-    raise AssertionError(f"completion did not finish in {max_rounds} rounds")
+    raise AssertionError("completion did not finish in 20 rounds")
 
 
 @pytest.mark.parametrize("ax,order,sizes", [
