@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,10 +47,41 @@ def witness(name: str, params: VitaliParams = DEFAULT_PARAMS) -> SymbolicSet:
     raise ValueError(f"unknown witness {name!r} (expected one of {WITNESS_NAMES})")
 
 
+class RandomSets(Sequence):
+    """The random tame sets of a corpus: set j is random_tame(seed + j, 4).
+
+    Set j is built on first access and kept.  Each set is seeded on its
+    own, so which sets are built, and in which order, changes none of them.
+    """
+
+    def __init__(self, size: int, seed: int):
+        self.seed = seed
+        self._sets: list[TameSet | None] = [None] * size
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __getitem__(self, j: int) -> TameSet:
+        j = range(len(self._sets))[j]  # negative j counts from the end; IndexError
+        s = self._sets[j]
+        if s is None:
+            s = self._sets[j] = random_tame(self.seed + j, 4)
+        return s
+
+
 @dataclass(frozen=True)
 class Corpus:
+    """The named witnesses and the random tame sets of one seed.
+
+    The random sets are built on first use (RandomSets).  verify decides
+    every law on the tame sets through a witness that shows every location
+    (the locality lemma in realsets), so a passing run builds only the
+    random sets it evaluates; its claims about the whole corpus hold for
+    the unbuilt sets through that lemma.
+    """
+
     named: dict[str, SymbolicSet]
-    random: tuple[TameSet, ...]
+    random: RandomSets
     seed: int = 0
 
     def all_sets(self) -> list[SymbolicSet]:
@@ -68,8 +100,7 @@ class Corpus:
 def build_corpus(size: int = 1000, seed: int = 1729,
                  params: VitaliParams = DEFAULT_PARAMS) -> Corpus:
     named = {name: witness(name, params) for name in WITNESS_NAMES}
-    randoms = tuple(random_tame(seed + j, 4) for j in range(size))
-    return Corpus(named, randoms, seed)
+    return Corpus(named, RandomSets(size, seed), seed)
 
 
 # -- random generation --------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from topomonoid import corpus as corpus_mod
 from topomonoid.corpus import WITNESS_NAMES, build_corpus, parse_set_dsl, random_tame, witness
 from topomonoid.realsets import interval, render
 from topomonoid.vitali import SymbolicSet, render_symbolic
@@ -151,6 +152,43 @@ def test_build_corpus_contents():
     assert set(corpus.named) == set(WITNESS_NAMES)
     assert len(corpus.random) == 12
     assert len(corpus.all_sets()) == 18
+
+
+def test_random_sets_are_built_on_first_access_and_kept(monkeypatch):
+    seeds = []
+
+    def counting(seed, n=4):
+        seeds.append(seed)
+        return random_tame(seed, n)
+
+    monkeypatch.setattr(corpus_mod, "random_tame", counting)
+    corpus = build_corpus(size=1000, seed=40)
+    assert seeds == [] and len(corpus.random) == 1000
+    first = corpus.random[7]
+    assert corpus.random[7] is first and seeds == [47]
+
+
+def test_random_sets_match_random_tame_by_index():
+    n, seed = 30, 2
+    assert list(build_corpus(n, seed).random) == [random_tame(seed + j, 4) for j in range(n)]
+
+
+def test_random_sets_index_like_a_tuple():
+    n = 9
+    random = build_corpus(n, seed=3).random
+    assert random[-1] == random[n - 1] and random[-n] == random[0]
+    for j in (n, -n - 1):
+        with pytest.raises(IndexError):
+            random[j]
+
+
+def test_corpus_json_is_unchanged():
+    assert build_corpus(4, 11).to_json()["random"] == [
+        {"seed": 11, "set": "(-51/7,-4/3) u I(-4/3,23/4)"},
+        {"seed": 12, "set": "I(-19/2,-14/3) u [-4,-1/2]"},
+        {"seed": 13, "set": "[-7,16/7)"},
+        {"seed": 14, "set": "Q(-19/2,-8) u I(-8,-22/3) u Q(-22/3,-13/2) u Q(-13/2,-5)"},
+    ]
 
 
 def test_corpus_and_set_json():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from topomonoid import corpus as corpus_mod
 from topomonoid import realsets, verify, vitali
-from topomonoid.corpus import build_corpus, parse_set_dsl, witness
+from topomonoid.corpus import build_corpus, parse_set_dsl, random_tame, witness
 from topomonoid.realsets import UNIVERSAL, interval, point, render, union
 from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
 from topomonoid.vitali import (DEFAULT_PARAMS, Undecidable, apply_word,
@@ -50,6 +51,21 @@ def _identity_violations(lhs, rhs, sets):
 def test_run_verify_rejects_a_corpus_size_below_one(size):
     with pytest.raises(ValueError, match="corpus_size must be at least 1"):
         verify.run_verify(corpus_size=size)
+
+
+def test_a_passing_run_builds_only_the_random_sets_it_evaluates(monkeypatch):
+    # 5a's cyclic pairs evaluate the neighbours of the V-mode sets: random
+    # sets 999 and 0.  Every other random input is decided on a witness.
+    seeds = []
+
+    def counting(seed, n=4):
+        seeds.append(seed)
+        return random_tame(seed, n)
+
+    monkeypatch.setattr(corpus_mod, "random_tame", counting)
+    report = verify.run_verify(1000, 1729)
+    assert report.ok
+    assert seeds == [1729 + 999, 1729]
 
 
 def test_d_law_identities_are_base_rules():
