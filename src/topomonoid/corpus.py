@@ -82,25 +82,15 @@ class Corpus:
 
     named: dict[str, SymbolicSet]
     random: RandomSets
-    seed: int = 0
 
     def all_sets(self) -> list[SymbolicSet]:
         return list(self.named.values()) + [tame(s) for s in self.random]
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "seed": self.seed,
-            "named": {name: s.render() for name, s in self.named.items()},
-            "random": [{"seed": self.seed + j, "set": realsets.render(s)}
-                       for j, s in enumerate(self.random)],
-        }
 
 
 def build_corpus(size: int = 1000, seed: int = 1729,
                  params: VitaliParams = DEFAULT_PARAMS) -> Corpus:
     named = {name: witness(name, params) for name in WITNESS_NAMES}
-    return Corpus(named, RandomSets(size, seed), seed)
+    return Corpus(named, RandomSets(size, seed))
 
 
 # -- random generation --------------------------------------------------------

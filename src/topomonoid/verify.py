@@ -12,7 +12,18 @@ canonical set under left multiplication and checks the right products;
 criterion 7 re-runs it) plus soundness (criterion 6 decides each rule on
 every tame set through the witness U and evaluates the three V-mode
 witnesses); its lower bound is criterion 3.
-Confluence is not needed for the counts.
+Confluence is not needed for the counts, only for criterion 10.
+
+Criterion 10 checks each edge g*u -> v of the Cayley graph of the kicdf
+monoid under BASE and PB (enumerate_monoid's left_cayley) as the word
+identity g*u = v, that is g(uS) = vS from the images of the canonical
+words on S, each evaluated once.  It decides each edge on U, so on every
+tame set, and the BASE edges also on five V-mode witnesses: plus_v(U),
+minus_v(cU), V, cV and A22 (minus_v(U) collapses to tame(U), as U misses
+W1); like 5b's equalities, the PB edges only on Baire-property sets.  By
+induction on word length, apply(w) = apply(normalize(w)) for every word
+on those sets.  The step needs normalize(g*normalize(w)) = normalize(g*w):
+unique normal forms, that is the confluence tests/test_rewrite.py pins.
 
 Every claim decided on a witness goes through law_violations: 5a's
 d-laws (its word identities among them), 5b's laws and equalities, 5c,
@@ -49,14 +60,14 @@ from typing import Callable, NamedTuple
 from . import corpus as corpus_mod
 from .monoid import enumerate_monoid, parity
 from .poset import OrderRelation, hasse, proved_relation
-from .realsets import UNIVERSAL, universal_pair
-from .rewrite import completion_check, normalize
+from .realsets import UNIVERSAL, complement, universal_pair
+from .rewrite import completion_check
 from .rules import BASE, PB, TYPO_LEDGER, get_axioms
 from .tables import even_figure, vitali_figure
 from .vitali import (DEFAULT_PARAMS, SymbolicSet, Undecidable, apply_word, distinguish,
-                     has_baire_property, is_meager, render_symbolic, sym_difference,
-                     sym_equal, sym_subset, sym_union, tame)
-from .words import render_word
+                     has_baire_property, is_meager, minus_v, plus_v, render_symbolic,
+                     sym_difference, sym_equal, sym_subset, sym_union, tame)
+from .words import LETTERS, render_word
 
 DEFAULT_SEED = 1729
 DEFAULT_CORPUS_SIZE = 1000
@@ -383,7 +394,8 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     An input's sets are SymbolicSets or RandomInputs; a RandomInput is
     built only if the input is evaluated.  prepare(*sets) gives the laws
     their arguments.  Each Undecidable, from prepare (which then skips the
-    input) or from a law, is one skip, never a pass.
+    input) or from a law, is one skip, never a pass; one from prepare on
+    the witness leaves every law undecided there.
 
     Each law, being location-wise (see Law), runs first on the witness, a
     tuple of tame sets that shows every location: every gap trace and every
@@ -403,8 +415,11 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     their breakpoints lie relative to W0 and W1, which no tame witness
     covers.
     """
-    witness_args = prepare(*witness)
-    on_witness = [_holds_cleanly(law.holds, witness_args) for law in laws]
+    try:
+        witness_args = prepare(*witness)
+        on_witness = [_holds_cleanly(law.holds, witness_args) for law in laws]
+    except Undecidable:
+        on_witness = [False] * len(laws)
     first = [None] * len(laws)  # per law, the first set of its first failing input
     skipped = 0
     for sets in inputs:
@@ -584,25 +599,26 @@ def check_parity(checks):
            problems)
 
 
-def check_rewrite_semantics(checks, corpus, seed):
-    import random as _random
-
-    problems = []
-    sets = _random_inputs(corpus)
-    for ax in (BASE, PB):
-        rng = _random.Random(f"criterion-10:{seed}:{ax.name}")
-        for t in range(500):
-            word = "".join(rng.choice("kicdf") for _ in range(rng.randint(0, 8)))
-            s = sets[t % len(sets)]
-            text = f"{ax.name}: {render_word(word)}"
-            refuted, skipped = law_violations(
-                (identity_law(word, normalize(word, ax), text),), [(s,)], ON_U)
-            problems += refuted
-            if skipped:
-                problems.append(f"{text} undecidable on {render_symbolic(s.build())}")
+def check_rewrite_semantics(checks, params):
+    v_mode = [plus_v(UNIVERSAL, params), minus_v(complement(UNIVERSAL), params),
+              *(corpus_mod.witness(name, params) for name in ("V", "cV", "A22"))]
+    problems, edges = [], []
+    for ax, inputs in ((BASE, [ON_U] + [(s,) for s in v_mode]), (PB, [ON_U])):
+        table = enumerate_monoid(LETTERS, ax)
+        els = table.elements
+        laws = [Law(f"{ax.name}: {render_word(g + u)} = {render_word(els[j])} fails",
+                    lambda images, g=g, i=i, j=j: sym_equal(apply_word(g, images[i]), images[j]))
+                for g, row in table.left_cayley.items() for i, (u, j) in enumerate(zip(els, row))]
+        refuted, skipped = law_violations(laws, inputs, ON_U,
+                                          lambda s: (tuple(apply_word(u, s) for u in els),))
+        problems += refuted
+        if skipped:
+            problems.append(f"{ax.name}: {skipped} instances undecidable")
+        edges.append(len(laws))
     _check(checks, "10-rewrite-semantics",
-           "apply(normalize(w)) = apply(w) for 500 random word/set pairs per "
-           "axiom system (words up to length 8)", problems)
+           f"apply(g*u) = apply(v) on each of the {sum(edges)} Cayley edges g*u -> v of "
+           f"the kicdf monoids ({edges[0]} BASE, {edges[1]} PB) on U, and on each BASE "
+           f"edge on {len(v_mode)} V-mode sets", problems)
 
 
 # -- driver ----------------------------------------------------------------------
@@ -624,7 +640,7 @@ def run_verify(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
     check_completion(checks)
     check_poset(checks, params)
     check_parity(checks)
-    check_rewrite_semantics(checks, corpus, seed)
+    check_rewrite_semantics(checks, params)
     return report
 
 

@@ -145,15 +145,6 @@ class SymbolicSet:
     def render(self) -> str:
         return render_symbolic(self)
 
-    def to_json(self) -> dict:
-        params = self.params if self.params is not None else DEFAULT_PARAMS
-        return {
-            "base": realsets.render(self.base),
-            "mode": self.mode,
-            "w0": realsets.render(params.w0),
-            "w1": realsets.render(params.w1),
-        }
-
     def __repr__(self):
         return f"SymbolicSet({render_symbolic(self)!r})"
 

@@ -1,7 +1,9 @@
 """The runtime is standard-library only: every absolute import in the
 package names a standard-library module (or the package itself).  The
 package's imports of its own modules form no cycle, and the rewrite side
-does not depend on the set algebra."""
+does not depend on the set algebra.  Every module is parsed with the
+grammar of Python 3.10, the oldest version pyproject.toml admits, so
+newer syntax (except*, PEP 695 generics) fails here too."""
 
 import ast
 import graphlib
@@ -11,10 +13,15 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "topomonoid"
+OLDEST_PYTHON = (3, 10)
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)
 
 
 def absolute_imports(path: Path):
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name.split(".")[0]
@@ -33,7 +40,7 @@ def package_imports(path: Path):
     """The package modules `path` imports anywhere, function bodies included;
     "__init__" stands for a name taken from the package itself."""
     modules = {p.stem for p in PACKAGE.glob("*.py")}
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             targets = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):

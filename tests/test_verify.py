@@ -1,22 +1,24 @@
 """Verify criteria fail, and name the offending set, when a false fact is injected."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from topomonoid import corpus as corpus_mod
-from topomonoid import realsets, verify, vitali
+from topomonoid import monoid, realsets, rewrite, verify, vitali
 from topomonoid.corpus import build_corpus, parse_set_dsl, random_tame, witness
-from topomonoid.realsets import UNIVERSAL, interval, point, render, union
+from topomonoid.realsets import UNIVERSAL, interval, point, union
 from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
 from topomonoid.vitali import (DEFAULT_PARAMS, Undecidable, apply_word,
-                               has_baire_property, is_meager, minus_v, render_symbolic,
-                               sym_difference, sym_equal, sym_intersect, sym_subset,
-                               sym_union, tame)
+                               has_baire_property, is_meager, minus_v, plus_v,
+                               render_symbolic, sym_difference, sym_equal, sym_intersect,
+                               sym_subset, sym_union, tame)
 
 CORPUS = build_corpus(size=17, seed=1729)
 V = witness("V")
 CV = witness("cV")
+ON_U_TEXT = render_symbolic(tame(UNIVERSAL))
 
 
 def _checks(run, *args):
@@ -37,7 +39,7 @@ def _first_set_where_words_differ(lhs, rhs, sets):
 def test_criteria_pass_on_the_small_corpus():
     checks = {**_property_suites(),
               **_checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS),
-              **_checks(verify.check_rewrite_semantics, CORPUS, 1729)}
+              **_checks(verify.check_rewrite_semantics, DEFAULT_PARAMS)}
     assert {c.status for c in checks.values()} == {"pass"}, checks
 
 
@@ -197,13 +199,72 @@ def test_6_checks_pb_rules_only_on_baire_property_sets():
     assert check.status == "pass", check.details
 
 
+def _criterion_10():
+    return _checks(verify.check_rewrite_semantics, DEFAULT_PARAMS)["10-rewrite-semantics"]
+
+
 def test_10_fails_on_a_wrong_normal_form(monkeypatch):
-    # A set never equals its complement, so the first pair already fails.
-    monkeypatch.setattr(verify, "normalize", lambda word, ax: "c" + word)
-    check = _checks(verify.check_rewrite_semantics, CORPUS, 1729)["10-rewrite-semantics"]
+    # The Cayley rows are read off normalize: one that sends d to k gives
+    # the edge c*cd -> k, and dU != kU.
+    real = monoid.normalize
+    monkeypatch.setattr(monoid, "normalize",
+                        lambda word, ax: "k" if real(word, ax) == "d" else real(word, ax))
+    check = _criterion_10()
     assert check.status == "fail"
-    assert check.details.startswith("BASE: ")
-    assert f" on {render(CORPUS.random[0])}; " in check.details
+    assert check.details.startswith(f"BASE: ccd = k fails on {ON_U_TEXT}; ")
+
+
+def test_10_fails_on_a_wrong_cayley_entry(monkeypatch):
+    real = verify.enumerate_monoid
+
+    def moved(gens, ax):
+        table = real(gens, ax)
+        row = list(table.left_cayley["d"])
+        row[1] = (row[1] + 1) % len(table.elements)
+        return dataclasses.replace(table, left_cayley={**table.left_cayley, "d": tuple(row)})
+
+    table = real(verify.LETTERS, BASE)
+    u = table.elements[1]
+    wrong = table.elements[(table.left_cayley["d"][1] + 1) % len(table.elements)]
+    monkeypatch.setattr(verify, "enumerate_monoid", moved)
+    check = _criterion_10()
+    assert check.status == "fail"
+    assert check.details.startswith(f"BASE: d{u} = {wrong} fails on {ON_U_TEXT}; ")
+
+
+def test_10_fails_on_a_false_rule(monkeypatch):
+    # dcd = d fails on R: dR = R, but dcdR = cidR is empty.
+    bad = RewriteRule("dcd", "d", "BASE", "false rule under test", "derived")
+    monkeypatch.setattr(verify, "BASE", AxiomSystem("BASE+bad", (bad,) + BASE.rules))
+    check = _criterion_10()
+    assert check.status == "fail"
+    assert check.details.startswith(f"BASE+bad: dcd = d fails on {ON_U_TEXT}")
+
+
+def test_10_fails_on_a_pb_rule_in_base_on_a_v_mode_set(monkeypatch):
+    # dc = cid holds on every tame set, so only a V-mode witness refutes it.
+    pb_rule = next(r for r in PB.rules if (r.lhs, r.rhs) == ("dc", "cid"))
+    monkeypatch.setattr(verify, "BASE", AxiomSystem("BASE+dc", (pb_rule,) + BASE.rules))
+    check = _criterion_10()
+    assert check.status == "fail"
+    assert check.details == f"BASE+dc: dc = cid fails on {render_symbolic(plus_v(UNIVERSAL))}"
+
+
+def test_a_passing_criterion_10_calls_neither_normalize_nor_random_tame(monkeypatch):
+    tables = {ax: verify.enumerate_monoid(verify.LETTERS, ax) for ax in (BASE, PB)}
+    monkeypatch.setattr(verify, "enumerate_monoid", lambda gens, ax: tables[ax])
+
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    for module, name in ((rewrite, "normalize"), (rewrite, "_normalize_cached"),
+                         (monoid, "normalize"), (corpus_mod, "random_tame")):
+        monkeypatch.setattr(module, name, forbidden)
+    check = _criterion_10()
+    assert check.status == "pass", check.details
+    assert check.description.startswith(
+        "apply(g*u) = apply(v) on each of the 430 Cayley edges g*u -> v of the kicdf "
+        "monoids (230 BASE, 200 PB) on U, and on each BASE edge on 5 V-mode sets")
 
 
 def _undecidable(*args):
@@ -214,7 +275,7 @@ def _undecidable(*args):
     (verify.check_property_suites, (CORPUS,), "5b-baire-equalities"),
     (verify.check_property_suites, (CORPUS,), "5c-baire-failures-on-vitali"),
     (verify.check_rule_validation, (CORPUS, DEFAULT_PARAMS), "6-rule-validation"),
-    (verify.check_rewrite_semantics, (CORPUS, 1729), "10-rewrite-semantics"),
+    (verify.check_rewrite_semantics, (DEFAULT_PARAMS,), "10-rewrite-semantics"),
 ], ids=["5b", "5c", "6", "10"])
 def test_an_undecidable_instance_is_never_a_pass(monkeypatch, run, args, cid):
     monkeypatch.setattr(verify, "apply_word", _undecidable)
