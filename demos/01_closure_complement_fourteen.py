@@ -6,7 +6,8 @@ at most 14 distinct sets.  Here we enumerate the operator monoid <k,c>
 symbolically and then watch all 14 images appear on a concrete witness.
 """
 
-from topomonoid import BASE, enumerate_monoid, distinguish, parse_set_dsl, render_word
+from topomonoid import (BASE, enumerate_monoid, distinguish, parse_set_dsl, render_symbolic,
+                        render_word)
 
 table = enumerate_monoid("kc", BASE)
 print(f"the monoid <k,c> has {len(table.elements)} elements:")
@@ -17,8 +18,8 @@ print("  " + " ".join(render_word(w) for w in table.elements))
 witness = parse_set_dsl("(0,1) u (1,2) u {3} u Q(4,5)")
 count, images = distinguish(witness, table.elements)
 print(f"\non A = {witness.render()} the 14 operators give {count} distinct sets:")
-for word in table.elements:
-    print(f"  {render_word(word):>5}A = {images[render_word(word)]}")
+for word, img in zip(table.elements, images):
+    print(f"  {render_word(word):>5}A = {render_symbolic(img)}")
 
 # The classical collapse identities that cap the count:
 from topomonoid import normalize

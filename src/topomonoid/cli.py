@@ -145,8 +145,8 @@ def _cmd_distinguish(args, params) -> int:
     count, images = distinguish(s, table.elements)
     print(f"{count} distinct images of {args.witness} under "
           f"{len(table.elements)} operators")
-    for w in table.elements:
-        print(f"  {render_word(w):>6}  {images[render_word(w)]}")
+    for w, img in zip(table.elements, images):
+        print(f"  {render_word(w):>6}  {render_symbolic(img)}")
     return 0
 
 

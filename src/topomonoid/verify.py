@@ -14,6 +14,13 @@ every tame set through the witness U and evaluates the three V-mode
 witnesses); its lower bound is criterion 3.
 Confluence is not needed for the counts, only for criterion 10.
 
+run_verify builds the nine EXPECTED_COUNTS monoids once and hands them to
+criteria 1, 3 and 9; criterion 7 runs completion_check itself and
+criterion 10 builds its own kicdf tables.  Criterion 3 reads the count of
+vitali.distinguish's (count, images) and renders no image.  distinguish
+compares two images only when their parts outside kW1 agree, which is
+exact both ways (its docstring has the argument).
+
 Criterion 10 checks each edge g*u -> v of the Cayley graph of the kicdf
 monoid under BASE and PB (enumerate_monoid's left_cayley) as the word
 identity g*u = v, that is g(uS) = vS from the images of the canonical
@@ -189,16 +196,16 @@ def _check(checks, cid, description, problems, details=""):
 # -- criterion 1 and 7 --------------------------------------------------------
 
 
-def check_cardinalities(checks):
+def check_cardinalities(checks, tables):
     problems = []
     for gens, ax_name, expected in EXPECTED_COUNTS:
-        table = enumerate_monoid(gens, get_axioms(ax_name))
-        if len(table.elements) != expected:
-            problems.append(f"<{gens}> {ax_name}: {len(table.elements)} != {expected}")
-    base22 = set(enumerate_monoid("kcd", BASE).elements)
+        count = len(tables[gens, ax_name].elements)
+        if count != expected:
+            problems.append(f"<{gens}> {ax_name}: {count} != {expected}")
+    base22 = set(tables["kcd", "BASE"].elements)
     if base22 != set(KCD_22):
         problems.append(f"k,c,d BASE element set differs: {sorted(base22 ^ set(KCD_22))}")
-    diff = set(enumerate_monoid("kcfd", BASE).elements) - set(enumerate_monoid("kcfd", PB).elements)
+    diff = set(tables["kcfd", "BASE"].elements) - set(tables["kcfd", "PB"].elements)
     if diff != set(KCFD_BASE_MINUS_PB):
         problems.append(f"BASE-PB difference is {sorted(diff)}")
     _check(checks, "1-monoid-cardinalities",
@@ -231,13 +238,13 @@ def check_even_figure(checks, params):
            problems)
 
 
-def check_distinctness(checks, params):
+def check_distinctness(checks, params, tables):
     problems = []
     a18 = corpus_mod.witness("A18", params)
     a22 = corpus_mod.witness("A22", params)
-    for s, gens, ax, expected in (
-            (a18, "kcd", PB, 18), (a22, "kcd", BASE, 22), (a22, "kcfd", BASE, 46)):
-        words_list = enumerate_monoid(gens, ax).elements
+    for s, gens, ax_name, expected in (
+            (a18, "kcd", "PB", 18), (a22, "kcd", "BASE", 22), (a22, "kcfd", "BASE", 46)):
+        words_list = tables[gens, ax_name].elements
         count, _ = distinguish(s, words_list)
         if count != expected:
             problems.append(f"{len(words_list)} ops on {render_symbolic(s)[:24]}...: "
@@ -586,14 +593,14 @@ def check_poset(checks, params):
 # -- criteria 9 and 10 -----------------------------------------------------------
 
 
-def check_parity(checks):
+def check_parity(checks, tables):
     problems = []
-    for ax, total, per_class in ((BASE, 22, 11), (PB, 18, 9)):
-        elements = enumerate_monoid("kcd", ax).elements
+    for ax_name, total, per_class in (("BASE", 22, 11), ("PB", 18, 9)):
+        elements = tables["kcd", ax_name].elements
         evens = sum(1 for w in elements if parity(w) == "even")
         odds = len(elements) - evens
         if (len(elements), evens, odds) != (total, per_class, per_class):
-            problems.append(f"{ax.name}: {evens} even / {odds} odd of {len(elements)}")
+            problems.append(f"{ax_name}: {evens} even / {odds} odd of {len(elements)}")
     _check(checks, "9-parity",
            "the 22-element BASE monoid splits 11 even / 11 odd; the PB monoid 9 / 9",
            problems)
@@ -631,15 +638,18 @@ def run_verify(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
     report = VerifyReport()
     checks = report.checks
     corpus = corpus_mod.build_corpus(corpus_size, seed, params)
-    check_cardinalities(checks)
+    # The nine EXPECTED_COUNTS monoids, built once for criteria 1, 3 and 9.
+    tables = {(gens, ax_name): enumerate_monoid(gens, get_axioms(ax_name))
+              for gens, ax_name, _ in EXPECTED_COUNTS}
+    check_cardinalities(checks, tables)
     check_even_figure(checks, params)
-    check_distinctness(checks, params)
+    check_distinctness(checks, params, tables)
     check_vitali_table(checks, params)
     check_property_suites(checks, corpus)
     check_rule_validation(checks, corpus, params)
     check_completion(checks)
     check_poset(checks, params)
-    check_parity(checks)
+    check_parity(checks, tables)
     check_rewrite_semantics(checks, params)
     return report
 

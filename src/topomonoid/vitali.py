@@ -389,16 +389,38 @@ def has_baire_property(s: SymbolicSet):
     return False
 
 
-def distinguish(s: SymbolicSet, ops) -> tuple[int, dict[str, str]]:
-    """Number of distinct images of s under the given words, plus the table."""
-    reps: list[SymbolicSet] = []
-    table: dict[str, str] = {}
+def distinguish(s: SymbolicSet, ops) -> tuple[int, tuple[SymbolicSet, ...]]:
+    """Number of distinct images of s under the given words, and the images
+    in ops order.
+
+    Each image is filed under its key, the part of its base outside kW1
+    (W1 from s's own parameters), and compared with sym_equal only against
+    the representatives that share its key.  The key is exact in both
+    directions, because V lies inside W1, hence inside kW1, and off V every
+    mode equals its base:
+
+      * equal sets agree outside kW1, so they have equal keys, and no
+        equal pair is split;
+      * different keys mean the two sets differ at a point outside kW1,
+        so outside V: they are distinct, a decided answer rather than a
+        skipped comparison (sym_equal would answer False there too);
+      * images with equal keys still go through sym_equal, so an
+        Undecidable comparison still raises and is never read as
+        "distinct".
+
+    For a tame s every image is tame and tame equality is exact, so the
+    key from the default parameters is sound as well.
+    """
+    outside = complement(_params_of(s).kw1)
+    groups: dict[TameSet, list[SymbolicSet]] = {}
+    images = []
     for w in ops:
         img = apply_word(w, s)
+        reps = groups.setdefault(intersect(img.base, outside), [])
         if not any(sym_equal(img, r) for r in reps):
             reps.append(img)
-        table[render_word(w)] = render_symbolic(img)
-    return len(reps), table
+        images.append(img)
+    return sum(map(len, groups.values())), tuple(images)
 
 
 def render_symbolic(s: SymbolicSet) -> str:

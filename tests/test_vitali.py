@@ -139,9 +139,9 @@ def test_has_baire_property():
 
 
 def test_distinguish_counts():
-    n, table = distinguish(witness("empty"), enumerate_monoid("kcd", BASE).elements)
+    n, images = distinguish(witness("empty"), enumerate_monoid("kcd", BASE).elements)
     assert n == 2
-    assert set(table.values()) == {"{}", "(-inf,inf)"}
+    assert {render_symbolic(i) for i in images} == {"{}", "(-inf,inf)"}
     n, _ = distinguish(witness("A18"), enumerate_monoid("kcd", PB).elements)
     assert n == 18
 
@@ -435,3 +435,55 @@ def test_apply_word_returns_an_unchanged_tame_input_itself():
     assert apply_word("kcc", s) is s
     assert apply_word("i", s) == tame(interval(0, 1))
     assert apply_word("k0", s) == tame(realsets.EMPTY)
+
+
+# -- distinguish groups its comparisons by the part outside kW1 -------------------
+
+
+def _counting_sym_equal(monkeypatch):
+    calls = []
+    real = vitali.sym_equal
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(vitali, "sym_equal", counting)
+    return calls
+
+
+def _raise(exc):
+    def raising(a, b):
+        raise exc
+    return raising
+
+
+def test_distinguish_compares_images_that_differ_only_inside_kw1(monkeypatch):
+    # V, dV = [8,9] and kV = [8,10] all lie inside kW1 = [8,10]: one key.
+    calls = _counting_sym_equal(monkeypatch)
+    n, images = distinguish(V, ("", "d", "k"))
+    assert n == 3
+    assert images == (V, apply_word("d", V), apply_word("k", V))
+    assert len(calls) == 3
+
+
+def test_distinguish_separates_images_that_differ_only_outside_kw1(monkeypatch):
+    # (0,1) and [0,1] differ at 0 and 1, outside kW1: decided by the key.
+    monkeypatch.setattr(vitali, "sym_equal", _raise(AssertionError("compared")))
+    n, _ = distinguish(tame(interval(0, 1)), ("", "k"))
+    assert n == 2
+
+
+def test_distinguish_raises_when_images_sharing_a_key_are_undecidable(monkeypatch):
+    monkeypatch.setattr(vitali, "sym_equal", _raise(Undecidable("patched")))
+    with pytest.raises(Undecidable, match="patched"):
+        distinguish(V, ("", "k"))
+
+
+def test_distinguish_decides_criterion_3_in_at_most_10_comparisons(monkeypatch):
+    calls = _counting_sym_equal(monkeypatch)
+    a18, a22 = witness("A18"), witness("A22")
+    counts = [distinguish(s, enumerate_monoid(gens, ax).elements)[0]
+              for s, gens, ax in ((a18, "kcd", PB), (a22, "kcd", BASE), (a22, "kcfd", BASE))]
+    assert counts == [18, 22, 46]
+    assert len(calls) <= 10
