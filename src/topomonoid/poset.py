@@ -2,11 +2,13 @@
 
 proved_relation is the closure of a small set of proved generator
 inequalities under transitivity, left composition by the monotone
-operators k, i, d, order reversal under a left c, right composition by
-any word, and normalization.  It is derived on the rewrite side, apart
-from the set algebra; the order that no witness refutes is
-verify.corpus_relation, and criterion 8 asks the two to agree on the even
-operators.  hasse and emit_dot draw either order.
+operators k and d, order reversal under a left c, and right composition
+by each generator, read off the Cayley rows of the k,c,d monoid.  That
+is closure under left i too, as i = ckc, and under right composition by
+any word, by induction on its length.  It is derived on the rewrite
+side, apart from the set algebra; the order that no witness refutes is
+verify.corpus_relation, and criterion 8 asks the two to agree on the
+even operators.  hasse and emit_dot draw either order.
 """
 
 from __future__ import annotations
@@ -46,39 +48,47 @@ class OrderRelation:
 
 
 def proved_relation(elements, ax: AxiomSystem) -> OrderRelation:
-    """Reflexive-transitive closure of the proved inequalities, restricted."""
+    """Reflexive-transitive closure of the proved inequalities, restricted.
+
+    The closure runs on indices into the k,c,d monoid, one Cayley row per
+    rule: a left k or d keeps a pair, a left c reverses it, and a right
+    generator g maps (u, v) to (ug, vg).  A left i needs no rule, as
+    i = ckc; closing under each right generator closes under right
+    composition by every word, by induction on its length.  Only the
+    seeds are normalized.
+    """
     elements = tuple(elements)
-    ambient = enumerate_monoid("kcd", ax).elements
-    index = {w: j for j, w in enumerate(ambient)}
+    table = enumerate_monoid("kcd", ax)
+    index = table.index
     for w in elements:
         if w not in index:
             raise ValueError(f"{render_word(w)!r} is not a canonical element of the "
                              f"k,c,d monoid under {ax.name}")
-    n = len(ambient)
+    n = len(table.elements)
     leq = [[i == j for j in range(n)] for i in range(n)]
     stack = []
 
-    def add(u: str, v: str) -> None:
-        iu, iv = index[u], index[v]
+    def add(iu: int, iv: int) -> None:
         if not leq[iu][iv]:
             leq[iu][iv] = True
             stack.append((iu, iv))
 
     for lhs, rhs in PROVED_SEEDS:
-        add(normalize(lhs, ax), normalize(rhs, ax))
+        add(index[normalize(lhs, ax)], index[normalize(rhs, ax)])
+    left = table.left_cayley
+    keep = (left["k"], left["d"])  # monotone left compositions
     while stack:
         iu, iv = stack.pop()
-        u, v = ambient[iu], ambient[iv]
-        for g in "kid":  # monotone left compositions
-            add(normalize(g + u, ax), normalize(g + v, ax))
-        add(normalize("c" + v, ax), normalize("c" + u, ax))  # c reverses
-        for w in ambient:  # right composition is pointwise-immediate
-            add(normalize(u + w, ax), normalize(v + w, ax))
+        for row in keep:
+            add(row[iu], row[iv])
+        add(left["c"][iv], left["c"][iu])  # c reverses
+        for row in table.right_cayley.values():  # right composition is pointwise
+            add(row[iu], row[iv])
         for j in range(n):  # transitivity through the new pair
             if leq[iv][j]:
-                add(u, ambient[j])
+                add(iu, j)
             if leq[j][iu]:
-                add(ambient[j], v)
+                add(j, iv)
     rows = tuple(
         tuple(leq[index[a]][index[b]] for b in elements) for a in elements)
     return OrderRelation(elements, rows)

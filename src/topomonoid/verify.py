@@ -38,8 +38,12 @@ d-laws (its word identities among them), 5b's laws and equalities, 5c,
 it is decided on a witness that shows every location, U for a law in one
 set and realsets.universal_pair() for a law in two; each law is then
 exact over every tame set or tame pair, and only the plusV/minusV inputs
-are evaluated one by one.  An undecidable instance is a skip in 5a, in
-6's rule table and in 8's corpus order, and a failure everywhere else.
+are evaluated one by one.  8's corpus order is the exception: its inputs
+are the six named witnesses, three of them small tame sets, so it passes
+the empty witness, which shows no location, and evaluates every input
+(corpus_relation has the argument that the order is unchanged).  An
+undecidable instance is a skip in 5a, in 6's rule table and in 8's
+corpus order, and a failure everywhere else.
 Like 5b's equalities, 6's PB-tier rules are checked on Baire-property
 sets.
 
@@ -54,8 +58,9 @@ cleanly at every location of its witness holds on every tame set, built
 or not.
 
 Criterion 8 compares two orders on the even operators: the proved one
-(poset.proved_relation, on the rewrite side) and corpus_relation, the
-inclusions that no named witness refutes.
+(poset.proved_relation, on the rewrite side, closed over the Cayley rows
+of the k,c,d monoid) and corpus_relation, the inclusions that no named
+witness refutes, each witness's images evaluated once.
 """
 
 from __future__ import annotations
@@ -402,7 +407,8 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     built only if the input is evaluated.  prepare(*sets) gives the laws
     their arguments.  Each Undecidable, from prepare (which then skips the
     input) or from a law, is one skip, never a pass; one from prepare on
-    the witness leaves every law undecided there.
+    the witness leaves every law undecided there.  An empty witness shows
+    no location: every law starts undecided, and every input is evaluated.
 
     Each law, being location-wise (see Law), runs first on the witness, a
     tuple of tame sets that shows every location: every gap trace and every
@@ -422,11 +428,13 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     their breakpoints lie relative to W0 and W1, which no tame witness
     covers.
     """
-    try:
-        witness_args = prepare(*witness)
-        on_witness = [_holds_cleanly(law.holds, witness_args) for law in laws]
-    except Undecidable:
-        on_witness = [False] * len(laws)
+    on_witness = [False] * len(laws)
+    if witness:
+        try:
+            witness_args = prepare(*witness)
+            on_witness = [_holds_cleanly(law.holds, witness_args) for law in laws]
+        except Undecidable:
+            pass
     first = [None] * len(laws)  # per law, the first set of its first failing input
     skipped = 0
     for sets in inputs:
@@ -552,13 +560,22 @@ def corpus_relation(elements, witness_sets) -> OrderRelation:
     Each pair (a, b) is one inclusion law.  prepare evaluates a witness's
     images of all the elements once, so a witness with an undecidable
     image is skipped, like an undecidable inclusion.
+
+    The laws get the empty witness, not U, so every witness set is
+    evaluated.  The relation is the one U would give.  A law that holds
+    cleanly on U holds on every tame set, and on a tame witness sym_subset
+    answers that true inclusion True (through realsets.is_subset), just as
+    passing it unevaluated would.  A law that does not hold cleanly on U
+    had every input evaluated anyway.  The plusV/minusV witnesses were
+    always evaluated.  So each law's first failure, and each skip, is the
+    same; only U's 33-gap images are no longer built.
     """
     elements = tuple(elements)
     n = len(elements)
     laws = [Law(f"{render_word(a)} <= {render_word(b)}",
                 lambda images, i=i, j=j: sym_subset(images[i], images[j]))
             for i, a in enumerate(elements) for j, b in enumerate(elements)]
-    first, _ = first_failures(laws, [(s,) for s in witness_sets], ON_U,
+    first, _ = first_failures(laws, [(s,) for s in witness_sets], (),
                               lambda s: (tuple(apply_word(w, s) for w in elements),))
     holds = [s is None for s in first]
     return OrderRelation(elements, tuple(tuple(holds[i:i + n]) for i in range(0, n * n, n)))

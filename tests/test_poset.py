@@ -1,19 +1,101 @@
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from topomonoid.corpus import WITNESS_NAMES, witness
+from topomonoid import poset, verify
+from topomonoid.corpus import WITNESS_NAMES, parse_set_dsl, witness
 from topomonoid.monoid import enumerate_monoid, parity
-from topomonoid.poset import OrderRelation, emit_dot, hasse, proved_relation
+from topomonoid.poset import PROVED_SEEDS, OrderRelation, emit_dot, hasse, proved_relation
+from topomonoid.realsets import UNIVERSAL, interval, render, union
+from topomonoid.rewrite import normalize
 from topomonoid.rules import BASE, PB
 from topomonoid.verify import (PB_HASSE, PB_HASSE_PRINTED, PB_HASSE_REPAIRED_EDGE, ZFC_HASSE,
                                corpus_relation)
+from topomonoid.vitali import (DEFAULT_PARAMS, Undecidable, VitaliParams, apply_word, plus_v,
+                               sym_subset, tame)
+
+POSET_CLI = json.loads(
+    (Path(__file__).parent / "data" / "poset_cli.json").read_text(encoding="utf-8"))
 
 
 def evens(ax):
     return tuple(w for w in enumerate_monoid("kcd", ax).elements if parity(w) == "even")
 
 
-def witness_sets():
-    return [witness(n) for n in WITNESS_NAMES]
+def witness_sets(params=DEFAULT_PARAMS):
+    return [witness(n, params) for n in WITNESS_NAMES]
+
+
+def _awkward():
+    # i of this punctured plusV base is undecidable.
+    return plus_v(union(interval(8, Fraction(17, 2)), interval(Fraction(17, 2), 9)))
+
+
+def _cli_params():
+    """The Vitali parameters of the poset CLI cases, the default first."""
+    choices = [DEFAULT_PARAMS]
+    for case in POSET_CLI:
+        argv = case["argv"]
+        if argv[0] == "--w0":
+            params = VitaliParams.make(parse_set_dsl(argv[1]).base, parse_set_dsl(argv[3]).base)
+            if params not in choices:
+                choices.append(params)
+    return choices
+
+
+def _normalize_closure(elements, ax):
+    """The proved order closed word by word through normalize: a left k, i
+    or d keeps a pair, a left c reverses it, and right composition by every
+    element of the k,c,d monoid keeps it."""
+    ambient = enumerate_monoid("kcd", ax).elements
+    index = {w: j for j, w in enumerate(ambient)}
+    n = len(ambient)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    stack = []
+
+    def add(u, v):
+        iu, iv = index[u], index[v]
+        if not leq[iu][iv]:
+            leq[iu][iv] = True
+            stack.append((iu, iv))
+
+    for lhs, rhs in PROVED_SEEDS:
+        add(normalize(lhs, ax), normalize(rhs, ax))
+    while stack:
+        iu, iv = stack.pop()
+        u, v = ambient[iu], ambient[iv]
+        for g in "kid":
+            add(normalize(g + u, ax), normalize(g + v, ax))
+        add(normalize("c" + v, ax), normalize("c" + u, ax))
+        for w in ambient:
+            add(normalize(u + w, ax), normalize(v + w, ax))
+        for j in range(n):
+            if leq[iv][j]:
+                add(u, ambient[j])
+            if leq[j][iu]:
+                add(ambient[j], v)
+    return tuple(tuple(leq[index[a]][index[b]] for b in elements) for a in elements)
+
+
+def _set_by_set_order(elements, sets):
+    """a <= b unless some set refutes aS inside bS; a set with an
+    undecidable image, and an undecidable inclusion, is a skip."""
+    leq = [[True] * len(elements) for _ in elements]
+    for s in sets:
+        try:
+            images = [apply_word(w, s) for w in elements]
+        except Undecidable:
+            continue
+        for i, a in enumerate(images):
+            for j, b in enumerate(images):
+                try:
+                    if not sym_subset(a, b):
+                        leq[i][j] = False
+                except Undecidable:
+                    pass
+    return tuple(tuple(row) for row in leq)
 
 
 def test_proved_examples():
@@ -113,14 +195,55 @@ def test_emit_dot():
 
 
 def test_corpus_relation_skips_undecidable_witnesses():
-    from fractions import Fraction
-
-    from topomonoid.realsets import interval, union
-    from topomonoid.vitali import plus_v
-
-    # i of this punctured plusV base is undecidable; the pair must be
-    # decided by the remaining witnesses.
-    awkward = plus_v(union(interval(8, Fraction(17, 2)), interval(Fraction(17, 2), 9)))
-    rel = corpus_relation(("", "i", "k"), [awkward] + witness_sets())
+    # The pair must be decided by the witnesses after the awkward one.
+    rel = corpus_relation(("", "i", "k"), [_awkward()] + witness_sets())
     assert rel.holds("i", "")
     assert not rel.holds("", "i")
+
+
+@pytest.mark.parametrize("params", _cli_params(), ids=lambda p: f"w0={render(p.w0)},w1={render(p.w1)}")
+@pytest.mark.parametrize("ax", [BASE, PB], ids=lambda ax: ax.name)
+def test_corpus_relation_matches_the_set_by_set_order(ax, params):
+    els = evens(ax)
+    sets = witness_sets(params)
+    assert corpus_relation(els, sets).leq == _set_by_set_order(els, sets)
+
+
+def test_corpus_relation_matches_the_set_by_set_order_on_an_awkward_witness():
+    for els in (("", "i", "k"), evens(BASE)):
+        sets = [_awkward()] + witness_sets()
+        assert corpus_relation(els, sets).leq == _set_by_set_order(els, sets)
+
+
+def test_a_passing_corpus_relation_never_evaluates_the_universal_witness(monkeypatch):
+    evaluated = []
+
+    def recording_apply_word(word, s):
+        evaluated.append(s)
+        return apply_word(word, s)
+
+    monkeypatch.setattr(verify, "apply_word", recording_apply_word)
+    els = evens(BASE)
+    assert corpus_relation(els, witness_sets()).leq == proved_relation(els, BASE).leq
+    assert evaluated and tame(UNIVERSAL) not in evaluated
+
+
+@pytest.mark.parametrize("ax", [BASE, PB], ids=lambda ax: ax.name)
+def test_proved_relation_matches_the_normalize_closure(ax):
+    els = enumerate_monoid("kcd", ax).elements
+    assert len(els) == {"BASE": 22, "PB": 18}[ax.name]
+    assert proved_relation(els, ax).leq == _normalize_closure(els, ax)
+
+
+def test_proved_relation_normalizes_only_the_seeds(monkeypatch):
+    calls = []
+
+    def counting_normalize(word, ax):
+        calls.append(word)
+        return normalize(word, ax)
+
+    monkeypatch.setattr(poset, "normalize", counting_normalize)
+    for ax in (BASE, PB):
+        calls.clear()
+        proved_relation(evens(ax), ax)
+        assert len(calls) <= 2 * len(PROVED_SEEDS) == 16

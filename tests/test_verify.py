@@ -443,6 +443,19 @@ def test_a_law_that_holds_on_the_witness_is_evaluated_only_on_v_mode_inputs():
     assert calls == [tame(UNIVERSAL), CORPUS.named["V"]]
 
 
+def test_an_empty_witness_leaves_every_input_to_be_evaluated():
+    calls = []
+
+    def law(s):
+        calls.append(s)
+        return True
+
+    inputs = [(r,) for r in verify._random_inputs(CORPUS)] + [(CORPUS.named["V"],)]
+    laws = (verify.Law("(x) fails", law),)
+    assert verify.first_failures(laws, inputs, ()) == ([None], 0)
+    assert calls == [tame(s) for s in CORPUS.random] + [CORPUS.named["V"]]
+
+
 # -- word identities through law_violations ------------------------------------
 
 
