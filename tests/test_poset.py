@@ -201,7 +201,8 @@ def test_corpus_relation_skips_undecidable_witnesses():
     assert not rel.holds("", "i")
 
 
-@pytest.mark.parametrize("params", _cli_params(), ids=lambda p: f"w0={render(p.w0)},w1={render(p.w1)}")
+@pytest.mark.parametrize("params", _cli_params(),
+                         ids=lambda p: f"w0={render(p.w0)},w1={render(p.w1)}")
 @pytest.mark.parametrize("ax", [BASE, PB], ids=lambda ax: ax.name)
 def test_corpus_relation_matches_the_set_by_set_order(ax, params):
     els = evens(ax)
@@ -210,8 +211,8 @@ def test_corpus_relation_matches_the_set_by_set_order(ax, params):
 
 
 def test_corpus_relation_matches_the_set_by_set_order_on_an_awkward_witness():
+    sets = [_awkward()] + witness_sets()
     for els in (("", "i", "k"), evens(BASE)):
-        sets = [_awkward()] + witness_sets()
         assert corpus_relation(els, sets).leq == _set_by_set_order(els, sets)
 
 
