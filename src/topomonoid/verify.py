@@ -47,15 +47,22 @@ corpus order, and a failure everywhere else.
 Like 5b's equalities, 6's PB-tier rules are checked on Baire-property
 sets.
 
-The random corpus sets are built on first use (corpus.RandomSets).  Each
-enters law_violations as a RandomInput, tame by construction, and is
-built only when an input holding it is evaluated or named in a problem.
-So a passing run builds only the random sets it evaluates: at the default
-size, sets 999 and 0, the neighbours of the V-mode sets in 5a's cyclic
-pairs.  The reports "hold on 1003 corpus sets" and "all 57 rules pass on
-the full corpus" are true through the locality lemma: a law that holds
-cleanly at every location of its witness holds on every tame set, built
-or not.
+The random corpus sets are built on first use (corpus.RandomSets).  The
+random part of each law table's inputs is one TameBlock: 5a's random
+sets and its 999 random-random cyclic pairs, and 5b's and 6's random
+sets after the named ones.  first_failures passes a block whole, making
+none of its inputs, when every law holds cleanly on its witness or has
+failed, and otherwise walks it in order.  A random set enters a walked
+input as a RandomInput, tame by construction, and is built only when
+that input is evaluated or named in a problem.  So a passing run builds
+only the random sets it evaluates, whatever the corpus size: the last
+one and set 0 (999 and 0 at the default size), the neighbours of the
+V-mode sets in 5a's cyclic pairs and the only two RandomInputs it makes.
+The reports "hold on 1003 corpus sets" and "all 57 rules pass on the
+full corpus" count the block lengths, and are true through the locality
+lemma: a law that holds cleanly at every location of its witness holds
+on every tame set, built or not.  A law that no input fails but its
+witness does fails on the witness's first set (first_failures).
 
 Criterion 8 compares two orders on the even operators: the proved one
 (poset.proved_relation, on the rewrite side, closed over the Cayley rows
@@ -365,29 +372,46 @@ class RandomInput(NamedTuple):
         return tame(self.random[self.j])
 
 
-def _random_inputs(corpus) -> list[RandomInput]:
-    return [RandomInput(corpus.random, j) for j in range(len(corpus.random))]
+class TameBlock(NamedTuple):
+    """The n inputs make(0), ..., make(n - 1) of first_failures, in order,
+    made only if they are walked.  Every set in them is tame."""
+
+    n: int
+    make: Callable
 
 
-def _corpus_sets(corpus):
-    """(every corpus set, the Baire-property ones) in Corpus.all_sets order.
+def _random_block(random) -> TameBlock:
+    """Each random corpus set j as the one-set input (RandomInput j)."""
+    return TameBlock(len(random), lambda j: (RandomInput(random, j),))
+
+
+def _input_count(inputs) -> int:
+    return sum(item.n if isinstance(item, TameBlock) else 1 for item in inputs)
+
+
+def _corpus_inputs(corpus):
+    """(every corpus set, the Baire-property ones) as one-set inputs, in
+    Corpus.all_sets order: the named sets, then the random block.
 
     The random sets are tame, so each has the Baire property.
     """
     named = list(corpus.named.values())
-    randoms = _random_inputs(corpus)
-    return named + randoms, [s for s in named if has_baire_property(s) is True] + randoms
+    block = _random_block(corpus.random)
+    return ([(s,) for s in named] + [block],
+            [(s,) for s in named if has_baire_property(s) is True] + [block])
 
 
-def _holds_cleanly(law, args) -> bool:
+def _outcome(law, args) -> bool | None:
+    """law(*args), or None if it is undecidable."""
     try:
-        return law(*args)
+        return bool(law(*args))
     except Undecidable:
-        return False
+        return None
 
 
 def law_violations(laws, inputs, witness, prepare=lambda *sets: sets):
-    """(problems, skipped) of the laws over the inputs, each a tuple of sets.
+    """(problems, skipped) of the laws over the inputs, each a tuple of sets
+    or a TameBlock of them.
 
     A law stops at its first failing input, which its problem names by the
     input's first set; problems follow the order of the laws.  See
@@ -403,12 +427,14 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     """(first, skipped): per law, the first set of its first failing input
     (None if it fails on none), and the number of skips.
 
-    An input's sets are SymbolicSets or RandomInputs; a RandomInput is
-    built only if the input is evaluated.  prepare(*sets) gives the laws
-    their arguments.  Each Undecidable, from prepare (which then skips the
-    input) or from a law, is one skip, never a pass; one from prepare on
-    the witness leaves every law undecided there.  An empty witness shows
-    no location: every law starts undecided, and every input is evaluated.
+    An input is a tuple of sets, SymbolicSets or RandomInputs; a
+    RandomInput is built only if the input is evaluated.  A TameBlock
+    stands for its inputs in order, each made only if it is walked.
+    prepare(*sets) gives the laws their arguments.  Each Undecidable, from
+    prepare (which then skips the input) or from a law, is one skip, never
+    a pass; one from prepare on the witness leaves every law undecided
+    there.  An empty witness shows no location: every law starts
+    undecided, and every input is evaluated.
 
     Each law, being location-wise (see Law), runs first on the witness, a
     tuple of tame sets that shows every location: every gap trace and every
@@ -418,47 +444,85 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     of every tame input, so on each such input it holds, which is the very
     answer evaluation would give: for tame sets is_meager is exact, and
     sym_subset and sym_equal answer True on every true inclusion or
-    equality.  Such inputs count as checked without being evaluated.  If
-    the law fails on the witness, or is undecidable there, the witness
-    itself is a tame input on which it does not hold cleanly, so no tame
-    input is passed unevaluated: each is evaluated, because whether an
-    input fails the law or is undecidable (images that differ by one
-    rational point inside W1) depends on the input.  Inputs with a
-    plusV/minusV set are always evaluated: their images depend on where
-    their breakpoints lie relative to W0 and W1, which no tame witness
-    covers.
+    equality.  Such inputs count as checked without being evaluated.  So a
+    TameBlock is passed whole, unmade, once every law holds cleanly on the
+    witness or has failed; otherwise its inputs are walked, in order, each
+    with only the laws still open on a tame input.  If the law fails on the
+    witness, or is undecidable there, the witness itself is a tame input on
+    which it does not hold cleanly, so no tame input is passed unevaluated:
+    each is evaluated, because whether an input fails the law or is
+    undecidable (images that differ by one rational point inside W1)
+    depends on the input.  If no input fails it, the witness does, as a
+    last input: a law false there fails on the witness's first set, and
+    one undecidable there counts one skip (one in all when prepare is, as
+    on any input).  So a law false on some tame set never passes,
+    whichever inputs it is given.  Inputs with a plusV/minusV set are
+    always evaluated: their images depend on where their breakpoints lie
+    relative to W0 and W1, which no tame witness covers.
     """
-    on_witness = [False] * len(laws)
+    on_witness = []  # per law: True, False, or None if undecidable
+    witness_args = None
     if witness:
         try:
             witness_args = prepare(*witness)
-            on_witness = [_holds_cleanly(law.holds, witness_args) for law in laws]
         except Undecidable:
-            pass
+            on_witness = [None] * len(laws)
+        else:
+            on_witness = [_outcome(law.holds, witness_args) for law in laws]
+    clean = {j for j, held in enumerate(on_witness) if held is True}
     first = [None] * len(laws)  # per law, the first set of its first failing input
     skipped = 0
-    for sets in inputs:
-        tame_input = all(s.is_tame() for s in sets)
-        pending = [j for j, known in enumerate(on_witness)
-                   if first[j] is None and not (tame_input and known)]
-        if not pending:
-            continue
+
+    def pending(tame_input):
+        return [j for j in range(len(laws))
+                if first[j] is None and not (tame_input and j in clean)]
+
+    def evaluate(sets, js):
+        nonlocal skipped
         sets = tuple(s.build() if isinstance(s, RandomInput) else s for s in sets)
         try:
             args = prepare(*sets)
         except Undecidable:
             skipped += 1
-            continue
-        for j in pending:
+            return
+        for j in js:
             try:
                 if not laws[j].holds(*args):
                     first[j] = sets[0]
             except Undecidable:
                 skipped += 1
+
+    for item in inputs:
+        if isinstance(item, TameBlock):
+            for k in range(item.n):
+                js = pending(True)
+                if not js:
+                    break
+                evaluate(item.make(k), js)
+        else:
+            js = pending(all(s.is_tame() for s in item))
+            if js:
+                evaluate(item, js)
+    # The witness, as a last input, for the laws that no input failed.
+    unfailed = [j for j, held in enumerate(on_witness) if first[j] is None and held is not True]
+    if witness_args is None:
+        skipped += bool(unfailed)  # prepare's one skip, as on any input
+    else:
+        for j in unfailed:
+            if on_witness[j] is None:
+                skipped += 1
+            else:
+                first[j] = witness[0]
     return first, skipped
 
 
 def d_law_violations(sets) -> tuple[list[str], int]:
+    """_d_law_violations on each set, and on each set with the next one,
+    cyclically."""
+    return _d_law_violations([(s,) for s in sets], list(zip(sets, sets[1:] + sets[:1])))
+
+
+def _d_law_violations(singles, pairs) -> tuple[list[str], int]:
     """Check of the d-operator laws, labelled:
 
     (a) S in T implies dS in dT        (b) dS closed and dS in kS
@@ -467,36 +531,42 @@ def d_law_violations(sets) -> tuple[list[str], int]:
     (g) ddS = dS                       (h) dkS = kikS
     (i) kidS = dS
 
-    (a) is checked as dS in d(S u T), and (a) and (d) on each set with the
-    next one, cyclically.  (f) is checked in the location-wise form "S and
-    dS differ by a meager set M", which with (i) gives (f) on a tame S: if
-    S is meager, so is dS, inside S u M; then idS is open and meager, so
-    empty by the Baire category theorem, and dS = kidS = k0 = 0.  If dS
-    is empty, S lies inside M.  All laws go through law_violations: those
-    in one set on U, (a) and (d) on the universal pair.
+    (a) is checked as dS in d(S u T), and (a) and (d) on the pairs.  (f) is
+    checked in the location-wise form "S and dS differ by a meager set M",
+    which with (i) gives (f) on a tame S: if S is meager, so is dS, inside
+    S u M; then idS is open and meager, so empty by the Baire category
+    theorem, and dS = kidS = k0 = 0.  If dS is empty, S lies inside M.
+    All laws go through law_violations: those in one set on U over the
+    singles, (a) and (d) on the universal pair over the pairs.
     """
-    problems, skipped = law_violations(D_SET_LAWS, [(s,) for s in sets], ON_U)
+    problems, skipped = law_violations(D_SET_LAWS, singles, ON_U)
     pair_problems, pair_skipped = law_violations(
-        D_PAIR_LAWS, list(zip(sets, sets[1:] + sets[:1])),
-        tuple(map(tame, universal_pair())), _with_union)
+        D_PAIR_LAWS, pairs, tuple(map(tame, universal_pair())), _with_union)
     return problems + pair_problems, skipped + pair_skipped
 
 
 def check_property_suites(checks, corpus):
-    sets = _random_inputs(corpus) + [
-        corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
-    problems, skipped = d_law_violations(sets)
+    # The random sets, then V, cV and A22; the pairs are each set with the
+    # next, cyclically: the random block's neighbours, then the pairs that
+    # hold a V-mode set.
+    random = corpus.random
+    tail = [corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
+    singles = [_random_block(random)] + [(s,) for s in tail]
+    ends = [RandomInput(random, len(random) - 1), *tail, RandomInput(random, 0)]
+    pairs = [TameBlock(len(random) - 1,
+                       lambda j: (RandomInput(random, j), RandomInput(random, j + 1)))]
+    problems, skipped = _d_law_violations(singles, pairs + list(zip(ends, ends[1:])))
     _check(checks, "5a-d-operator-laws",
-           f"d-operator laws (a)-(i) hold on {len(sets)} corpus sets "
+           f"d-operator laws (a)-(i) hold on {_input_count(singles)} corpus sets "
            f"({skipped} undecidable instances skipped)", problems)
 
-    _, bp_sets = _corpus_sets(corpus)
-    problems, skipped = law_violations(BAIRE_SET_LAWS, [(s,) for s in bp_sets], ON_U)
+    _, bp_inputs = _corpus_inputs(corpus)
+    problems, skipped = law_violations(BAIRE_SET_LAWS, bp_inputs, ON_U)
     if skipped:
         problems.append(f"{skipped} instances undecidable on property-true sets")
     _check(checks, "5b-baire-equalities",
-           f"Baire-property equalities hold on all {len(bp_sets)} property-true corpus sets",
-           problems)
+           f"Baire-property equalities hold on all {_input_count(bp_inputs)} "
+           f"property-true corpus sets", problems)
 
     problems = []
     v = corpus.named["V"]
@@ -522,13 +592,12 @@ PRINTED_REFUTATIONS = (("fkik", "fki", "{0} u {2}", "{0} u {1}"),
 
 
 def check_rule_validation(checks, corpus, params):
-    corpus_sets, bp_sets = _corpus_sets(corpus)
     rules = tuple(dict.fromkeys(BASE.rules + PB.rules))  # each rule of the two tables once
     problems = []
-    for pb_tier, sets in ((False, corpus_sets), (True, bp_sets)):
+    for pb_tier, inputs in zip((False, True), _corpus_inputs(corpus)):
         laws = [identity_law(r.lhs, r.rhs, f"rule {r.lhs} -> {r.rhs} refuted")
                 for r in rules if (r.tier == "PB") == pb_tier]
-        problems += law_violations(laws, [(s,) for s in sets], ON_U)[0]
+        problems += law_violations(laws, inputs, ON_U)[0]
 
     # The printed transposed forms must fail, with the documented images.
     doc = corpus_mod.parse_set_dsl(DOCUMENTED_REFUTATION, params)

@@ -289,10 +289,11 @@ def test_5a_counts_undecidable_laws_as_skips(monkeypatch):
         CORPUS.named["V"], CORPUS.named["cV"], CORPUS.named["A22"]]
     problems, skipped = verify.d_law_violations(sets)
     assert not problems and skipped == 2
-    # Undecidable on the witness too, so every set is evaluated and skipped.
+    # Undecidable on the witness too, so every set is evaluated and skipped,
+    # and the witness, which no set failed in its place, is one more skip.
     monkeypatch.setattr(verify, "D_SET_LAWS",
                         verify.D_SET_LAWS + (verify.Law("(x) fails", _undecidable),))
-    assert verify.d_law_violations(sets) == ([], skipped + len(sets))
+    assert verify.d_law_violations(sets) == ([], skipped + len(sets) + 1)
 
 
 # -- criterion 5 on witnesses agrees with the set-by-set check -----------------
@@ -450,10 +451,85 @@ def test_an_empty_witness_leaves_every_input_to_be_evaluated():
         calls.append(s)
         return True
 
-    inputs = [(r,) for r in verify._random_inputs(CORPUS)] + [(CORPUS.named["V"],)]
+    inputs = [verify._random_block(CORPUS.random), (CORPUS.named["V"],)]
     laws = (verify.Law("(x) fails", law),)
     assert verify.first_failures(laws, inputs, ()) == ([None], 0)
     assert calls == [tame(s) for s in CORPUS.random] + [CORPUS.named["V"]]
+
+
+def _logging_law(name, calls, holds):
+    def law(s):
+        calls.append((name, render_symbolic(s)))
+        return holds(s)
+    return verify.Law(f"({name}) fails", law)
+
+
+def _undecidable_on_u(s):
+    if s == verify.ON_U[0]:
+        raise Undecidable("injected")
+    return True
+
+
+@pytest.mark.parametrize("witness,holds", [
+    (verify.ON_U, lambda s: True),
+    (verify.ON_U, lambda s: sym_equal(apply_word("k", s), apply_word("i", s))),
+    (verify.ON_U, _undecidable_on_u),
+    ((), lambda s: True),
+], ids=["clean", "false-on-witness", "undecidable-on-witness", "empty-witness"])
+def test_a_block_decides_as_its_inputs_do_one_by_one(witness, holds):
+    # Beside the law of each case, one law that holds everywhere and one
+    # that fails on U and on a random set late in the block, where the walk
+    # of the block stops unless the law of the case is still open.
+    late = tame(CORPUS.random[12])
+    outcomes = []
+    for block in (True, False):
+        calls = []
+        laws = (_logging_law("x", calls, holds),
+                _logging_law("true", calls, lambda s: True),
+                _logging_law("late", calls, lambda s: s not in (verify.ON_U[0], late)))
+        random = ([verify._random_block(CORPUS.random)] if block else
+                  [(verify.RandomInput(CORPUS.random, j),) for j in range(len(CORPUS.random))])
+        inputs = [(CORPUS.named["A18"],), (V,)] + random + [(CV,)]
+        outcomes.append((verify.first_failures(laws, inputs, witness), calls))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0][2] == late
+
+
+def test_a_law_false_on_its_witness_fails_there_when_no_input_fails_it():
+    law = verify.identity_law("k", "i", "k = i fails")
+    empty = tame(realsets.EMPTY)
+    assert verify.law_violations((law,), [(empty,)], verify.ON_U) == (
+        [f"k = i fails on {ON_U_TEXT}"], 0)
+    # An input that fails it is named first.
+    assert verify.law_violations((law,), [(empty,), (tame(point(3)),)], verify.ON_U) == (
+        ["k = i fails on {3}"], 0)
+
+
+def test_a_law_undecidable_on_its_witness_is_a_skip_when_no_input_fails_it():
+    law = verify.Law("(x) fails", _undecidable_on_u)
+    empty = tame(realsets.EMPTY)
+    assert verify.law_violations((law,), [(empty,), (V,)], verify.ON_U) == ([], 1)
+    failing = verify.Law("(x) fails", lambda s: _undecidable_on_u(s) and s != V)
+    assert verify.law_violations((failing,), [(empty,), (V,)], verify.ON_U) == (
+        ["(x) fails on V"], 0)
+    # Undecidable from prepare on the witness: one skip, as on any input.
+    laws = (verify.Law("(x) fails", lambda s: True), verify.Law("(y) fails", lambda s: True))
+    assert verify.law_violations(laws, [(empty,)], verify.ON_U,
+                                 lambda s: (_undecidable_on_u(s) and s,)) == ([], 1)
+
+
+@pytest.mark.parametrize("size", [1000, 20_000])
+def test_a_passing_run_makes_at_most_two_random_inputs(monkeypatch, size):
+    made = []
+
+    class CountingRandomInput(verify.RandomInput):
+        def __new__(cls, *args):
+            made.append(args[1])
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(verify, "RandomInput", CountingRandomInput)
+    assert verify.run_verify(size, 1729).ok
+    assert len(made) <= 2
 
 
 # -- word identities through law_violations ------------------------------------
