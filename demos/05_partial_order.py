@@ -14,10 +14,10 @@ from topomonoid.corpus import WITNESS_NAMES
 
 witness_sets = [witness(n) for n in WITNESS_NAMES]
 
-for ax in (BASE, PB):
-    evens = tuple(w for w in enumerate_monoid("kcd", ax).elements
-                  if parity(w) == "even")
-    proved = proved_relation(evens, ax)
+tables = {ax: enumerate_monoid("kcd", ax) for ax in (BASE, PB)}
+for ax, table in tables.items():
+    evens = tuple(w for w in table.elements if parity(w) == "even")
+    proved = proved_relation(evens, table)
     empirical = corpus_relation(evens, witness_sets)
     agree = proved.leq == empirical.leq
     edges = hasse(proved)
@@ -27,8 +27,7 @@ for ax in (BASE, PB):
         print(f"   {render_word(a)} -> {render_word(b)}")
     print()
 
-evens_pb = tuple(w for w in enumerate_monoid("kcd", PB).elements
-                 if parity(w) == "even")
-dot = emit_dot(hasse(proved_relation(evens_pb, PB)), evens_pb)
+evens_pb = tuple(w for w in tables[PB].elements if parity(w) == "even")
+dot = emit_dot(hasse(proved_relation(evens_pb, tables[PB])), evens_pb)
 print("DOT for the PB diagram:\n")
 print(dot)

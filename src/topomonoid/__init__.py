@@ -8,7 +8,7 @@ real-line sets extended by one axiomatized Vitali atom.
 """
 
 from .corpus import Corpus, build_corpus, parse_set_dsl, random_tame, witness
-from .monoid import MonoidTable, enumerate_monoid, parity
+from .monoid import MonoidTable, enumerate_monoid, parity, submonoid
 from .poset import OrderRelation, emit_dot, hasse, proved_relation
 from .realsets import Cell, TameSet, interval, point
 from .rewrite import CompletionReport, ReductionBudgetError, completion_check, normalize

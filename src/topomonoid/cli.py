@@ -154,9 +154,9 @@ def _cmd_poset(args, params) -> int:
     if args.dot is not None:
         _check_writable(args.dot)
     ax = get_axioms(args.axioms)
-    elements = enumerate_monoid("kcd", ax).elements
-    evens = tuple(w for w in elements if parity(w) == "even")
-    proved = proved_relation(evens, ax)
+    table = enumerate_monoid("kcd", ax)
+    evens = tuple(w for w in table.elements if parity(w) == "even")
+    proved = proved_relation(evens, table)
     witnesses = [corpus_mod.witness(n, params) for n in corpus_mod.WITNESS_NAMES]
     empirical = verify_mod.corpus_relation(evens, witnesses)
     agree = proved.leq == empirical.leq

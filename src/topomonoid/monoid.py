@@ -1,5 +1,5 @@
 """Finite monoids of operator words: Cayley tables over completion_check's
-search, and parity."""
+search, submonoids walked on a table's rows, and parity."""
 
 from __future__ import annotations
 
@@ -53,6 +53,28 @@ def enumerate_monoid(gens, ax: AxiomSystem) -> MonoidTable:
     left = {g: tuple(index[normalize(g + w, ax)] for w in elements) for g in gens}
     right = {g: tuple(index[normalize(w + g, ax)] for w in elements) for g in gens}
     return MonoidTable(gens, ax.name, elements, left, right)
+
+
+def submonoid(table: MonoidTable, gens) -> MonoidTable:
+    """enumerate_monoid(gens, ax), walked on the rows of a table under ax.
+
+    A breadth-first walk from e along the left rows of gens reaches each
+    product g1...gn = g1(...(gn e)) as its unique normal form.  Table
+    indices are in (length, lex) order, so the sorted reached ones are too.
+    """
+    gens = tuple(sorted(set(gens)))
+    for g in gens:
+        if g not in table.left_cayley:
+            raise ValueError(f"generator {g!r} has no row in the <{','.join(table.generators)}> table")
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {table.left_cayley[g][i] for g in gens for i in frontier} - reached
+        reached |= frontier
+    old = sorted(reached)
+    new = {i: j for j, i in enumerate(old)}
+    left, right = ({g: tuple(new[cayley[g][i]] for i in old) for g in gens}
+                   for cayley in (table.left_cayley, table.right_cayley))
+    return MonoidTable(gens, table.axioms, tuple(table.elements[i] for i in old), left, right)
 
 
 def parity(word: str) -> str:

@@ -3,10 +3,11 @@
 proved_relation is the closure of a small set of proved generator
 inequalities under transitivity, left composition by the monotone
 operators k and d, order reversal under a left c, and right composition
-by each generator, read off the Cayley rows of the k,c,d monoid.  That
-is closure under left i too, as i = ckc, and under right composition by
-any word, by induction on its length.  It is derived on the rewrite
-side, apart from the set algebra; the order that no witness refutes is
+by each generator, read off the Cayley rows of the k,c,d table the
+caller passes, so poset runs no closure search of its own.  That is
+closure under left i too, as i = ckc, and under right composition by any
+word, by induction on its length.  It is derived on the rewrite side,
+apart from the set algebra; the order that no witness refutes is
 verify.corpus_relation, and criterion 8 asks the two to agree on the
 even operators.  hasse and emit_dot draw either order.
 """
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid import enumerate_monoid
+from .monoid import MonoidTable
 from .rewrite import normalize
-from .rules import AxiomSystem
+from .rules import get_axioms
 from .words import render_word, word_sort_key
 
 # Proved generator inequalities: extensivity/contraction of closure and
@@ -47,18 +48,18 @@ class OrderRelation:
         return self.leq[self.index(a)][self.index(b)]
 
 
-def proved_relation(elements, ax: AxiomSystem) -> OrderRelation:
+def proved_relation(elements, table: MonoidTable) -> OrderRelation:
     """Reflexive-transitive closure of the proved inequalities, restricted.
 
-    The closure runs on indices into the k,c,d monoid, one Cayley row per
-    rule: a left k or d keeps a pair, a left c reverses it, and a right
-    generator g maps (u, v) to (ug, vg).  A left i needs no rule, as
-    i = ckc; closing under each right generator closes under right
-    composition by every word, by induction on its length.  Only the
-    seeds are normalized.
+    table is the k,c,d monoid under BASE or PB.  The closure runs on its
+    indices, one Cayley row per rule: a left k or d keeps a pair, a left
+    c reverses it, and a right generator g maps (u, v) to (ug, vg).  A
+    left i needs no rule, as i = ckc; closing under each right generator
+    closes under right composition by every word, by induction on its
+    length.  Only the seeds are normalized.
     """
     elements = tuple(elements)
-    table = enumerate_monoid("kcd", ax)
+    ax = get_axioms(table.axioms)
     index = table.index
     for w in elements:
         if w not in index:

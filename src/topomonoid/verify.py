@@ -7,19 +7,22 @@ Vitali rows, the Hasse edge sets, and the parity splits.  The typo
 ledger is reported even when a run fails, to keep the oracle-over-print
 policy visible.
 
-Each count's upper bound is closure (completion_check's search closes the
-canonical set under left multiplication and checks the right products;
-criterion 7 re-runs it) plus soundness (criterion 6 decides each rule on
-every tame set through the witness U and evaluates the three V-mode
-witnesses); its lower bound is criterion 3.
-Confluence is not needed for the counts, only for criterion 10.
+run_verify runs one closure search per axiom system: enumerate_monoid
+builds the kicdf table under BASE and under PB, which criteria 3 and 10
+read, and the nine EXPECTED_COUNTS monoids of criteria 1, 7, 8 and 9 are
+walked on their rows (monoid.submonoid).
 
-run_verify builds the nine EXPECTED_COUNTS monoids once and hands them to
-criteria 1, 3 and 9; criterion 7 runs completion_check itself and
-criterion 10 builds its own kicdf tables.  Criterion 3 reads the count of
-vitali.distinguish's (count, images) and renders no image.  distinguish
-compares two images only when their parts outside kW1 agree, which is
-exact both ways (its docstring has the argument).
+Each count's upper bound is closure (that search; criterion 7 checks each
+walked set as completion_check's candidate) plus soundness (criterion 6
+decides each rule on every tame set through the witness U and evaluates
+the three V-mode witnesses).  Its lower bound is criterion 3: the tame
+A18 separates the 40 PB operators (every set has the Baire property under
+PB) and A22 the 46 BASE ones, and each of the nine monoids lies inside its
+system's table, so its operators are pairwise distinct too.  Confluence
+is not needed for the counts, only for criterion 10.  Criterion 3 reads
+the count of vitali.distinguish's (count, images) and renders no image.
+distinguish compares two images only when their parts outside kW1 agree,
+which is exact both ways (its docstring has the argument).
 
 Criterion 10 checks each edge g*u -> v of the Cayley graph of the kicdf
 monoid under BASE and PB (enumerate_monoid's left_cayley) as the word
@@ -66,8 +69,8 @@ witness does fails on the witness's first set (first_failures).
 
 Criterion 8 compares two orders on the even operators: the proved one
 (poset.proved_relation, on the rewrite side, closed over the Cayley rows
-of the k,c,d monoid) and corpus_relation, the inclusions that no named
-witness refutes, each witness's images evaluated once.
+of the walked k,c,d monoid) and corpus_relation, the inclusions that no
+named witness refutes, each witness's images evaluated once.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
-from .monoid import enumerate_monoid, parity
+from .monoid import enumerate_monoid, parity, submonoid
 from .poset import OrderRelation, hasse, proved_relation
 from .realsets import UNIVERSAL, complement, universal_pair
 from .rewrite import completion_check
@@ -225,10 +228,10 @@ def check_cardinalities(checks, tables):
            "BASE-PB difference {dc, idc, cdc, cidc, fdc, cfdc}", problems)
 
 
-def check_completion(checks):
+def check_completion(checks, tables):
     problems = []
     for gens, ax_name, expected in EXPECTED_COUNTS:
-        report = completion_check(get_axioms(ax_name), gens)
+        report = completion_check(get_axioms(ax_name), gens, tables[gens, ax_name].elements)
         if not report.ok:
             problems.append(f"<{gens}> {ax_name}: {report.failures[0]}")
         elif report.size != expected:
@@ -250,20 +253,18 @@ def check_even_figure(checks, params):
            problems)
 
 
-def check_distinctness(checks, params, tables):
+def check_distinctness(checks, params, full):
     problems = []
-    a18 = corpus_mod.witness("A18", params)
-    a22 = corpus_mod.witness("A22", params)
-    for s, gens, ax_name, expected in (
-            (a18, "kcd", "PB", 18), (a22, "kcd", "BASE", 22), (a22, "kcfd", "BASE", 46)):
-        words_list = tables[gens, ax_name].elements
+    for name, ax_name, expected in (("A18", "PB", 40), ("A22", "BASE", 46)):
+        s = corpus_mod.witness(name, params)
+        words_list = full[ax_name].elements
         count, _ = distinguish(s, words_list)
         if count != expected:
             problems.append(f"{len(words_list)} ops on {render_symbolic(s)[:24]}...: "
                             f"{count} != {expected}")
     _check(checks, "3-distinctness",
-           "distinguish(A, 18 PB ops) = 18, distinguish(A u V, 22) = 22, "
-           "distinguish(A u V, 46) = 46", problems)
+           "distinguish(A, 40 PB ops) = 40 and distinguish(A u V, 46 BASE ops) = 46; "
+           "the nine monoids are walks inside these two tables", problems)
 
 
 def check_vitali_table(checks, params):
@@ -650,12 +651,12 @@ def corpus_relation(elements, witness_sets) -> OrderRelation:
     return OrderRelation(elements, tuple(tuple(holds[i:i + n]) for i in range(0, n * n, n)))
 
 
-def check_poset(checks, params):
+def check_poset(checks, params, tables):
     problems = []
     witness_sets = [corpus_mod.witness(n, params) for n in corpus_mod.WITNESS_NAMES]
-    for name, ax, evens, expected_edges in (
-            ("ZFC", BASE, ZFC_EVENS, ZFC_HASSE), ("PB", PB, PB_EVENS, PB_HASSE)):
-        proved = proved_relation(evens, ax)
+    for name, ax_name, evens, expected_edges in (
+            ("ZFC", "BASE", ZFC_EVENS, ZFC_HASSE), ("PB", "PB", PB_EVENS, PB_HASSE)):
+        proved = proved_relation(evens, tables["kcd", ax_name])
         empirical = corpus_relation(evens, witness_sets)
         if proved.leq != empirical.leq:
             diffs = [
@@ -692,21 +693,21 @@ def check_parity(checks, tables):
            problems)
 
 
-def check_rewrite_semantics(checks, params):
+def check_rewrite_semantics(checks, params, full):
     v_mode = [plus_v(UNIVERSAL, params), minus_v(complement(UNIVERSAL), params),
               *(corpus_mod.witness(name, params) for name in ("V", "cV", "A22"))]
     problems, edges = [], []
-    for ax, inputs in ((BASE, [ON_U] + [(s,) for s in v_mode]), (PB, [ON_U])):
-        table = enumerate_monoid(LETTERS, ax)
+    for ax_name, inputs in (("BASE", [ON_U] + [(s,) for s in v_mode]), ("PB", [ON_U])):
+        table = full[ax_name]
         els = table.elements
-        laws = [Law(f"{ax.name}: {render_word(g + u)} = {render_word(els[j])} fails",
+        laws = [Law(f"{table.axioms}: {render_word(g + u)} = {render_word(els[j])} fails",
                     lambda images, g=g, i=i, j=j: sym_equal(apply_word(g, images[i]), images[j]))
                 for g, row in table.left_cayley.items() for i, (u, j) in enumerate(zip(els, row))]
         refuted, skipped = law_violations(laws, inputs, ON_U,
                                           lambda s: (tuple(apply_word(u, s) for u in els),))
         problems += refuted
         if skipped:
-            problems.append(f"{ax.name}: {skipped} instances undecidable")
+            problems.append(f"{table.axioms}: {skipped} instances undecidable")
         edges.append(len(laws))
     _check(checks, "10-rewrite-semantics",
            f"apply(g*u) = apply(v) on each of the {sum(edges)} Cayley edges g*u -> v of "
@@ -724,19 +725,21 @@ def run_verify(corpus_size: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_SEED,
     report = VerifyReport()
     checks = report.checks
     corpus = corpus_mod.build_corpus(corpus_size, seed, params)
-    # The nine EXPECTED_COUNTS monoids, built once for criteria 1, 3 and 9.
-    tables = {(gens, ax_name): enumerate_monoid(gens, get_axioms(ax_name))
+    # The one closure search per axiom system, and the nine monoids walked in it.
+    full = {ax_name: enumerate_monoid(LETTERS, get_axioms(ax_name))
+            for ax_name in ("BASE", "PB")}
+    tables = {(gens, ax_name): submonoid(full[ax_name], gens)
               for gens, ax_name, _ in EXPECTED_COUNTS}
     check_cardinalities(checks, tables)
     check_even_figure(checks, params)
-    check_distinctness(checks, params, tables)
+    check_distinctness(checks, params, full)
     check_vitali_table(checks, params)
     check_property_suites(checks, corpus)
     check_rule_validation(checks, corpus, params)
-    check_completion(checks)
-    check_poset(checks, params)
+    check_completion(checks, tables)
+    check_poset(checks, params, tables)
     check_parity(checks, tables)
-    check_rewrite_semantics(checks, params)
+    check_rewrite_semantics(checks, params, full)
     return report
 
 

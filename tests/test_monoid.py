@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from topomonoid.monoid import enumerate_monoid, parity
+from topomonoid.monoid import enumerate_monoid, parity, submonoid
 from topomonoid.rewrite import normalize
 from topomonoid.rules import BASE, PB, AxiomSystem
 
@@ -64,6 +65,23 @@ def test_associativity_spot_check():
 
 def test_kid_monoid_does_not_feel_pb():
     assert enumerate_monoid("kid", BASE).elements == enumerate_monoid("kid", PB).elements
+
+
+GENERATOR_SUBSETS = ["".join(c) for n in range(1, 6) for c in combinations("kicdf", n)]
+
+
+@pytest.mark.parametrize("ax", [BASE, PB], ids=lambda ax: ax.name)
+def test_submonoid_walks_every_enumerated_monoid(ax):
+    full = enumerate_monoid("kicdf", ax)
+    assert len(GENERATOR_SUBSETS) == 31
+    for gens in GENERATOR_SUBSETS:
+        assert submonoid(full, gens).to_json() == enumerate_monoid(gens, ax).to_json(), gens
+
+
+def test_submonoid_rejects_a_generator_without_a_row():
+    with pytest.raises(ValueError) as exc:
+        submonoid(enumerate_monoid("kcd", BASE), "kf")
+    assert str(exc.value) == "generator 'f' has no row in the <c,d,k> table"
 
 
 def test_submonoid_embedding():

@@ -20,8 +20,12 @@ POSET_CLI = json.loads(
     (Path(__file__).parent / "data" / "poset_cli.json").read_text(encoding="utf-8"))
 
 
+def kcd(ax):
+    return enumerate_monoid("kcd", ax)
+
+
 def evens(ax):
-    return tuple(w for w in enumerate_monoid("kcd", ax).elements if parity(w) == "even")
+    return tuple(w for w in kcd(ax).elements if parity(w) == "even")
 
 
 def witness_sets(params=DEFAULT_PARAMS):
@@ -99,7 +103,7 @@ def _set_by_set_order(elements, sets):
 
 
 def test_proved_examples():
-    rel = proved_relation(evens(BASE), BASE)
+    rel = proved_relation(evens(BASE), kcd(BASE))
     assert rel.holds("d", "kik")
     assert rel.holds("cdc", "id")
     assert not rel.holds("k", "i")
@@ -117,7 +121,7 @@ def test_corpus_examples():
 def test_proved_is_sound_for_corpus():
     for ax in (BASE, PB):
         els = evens(ax)
-        proved = proved_relation(els, ax)
+        proved = proved_relation(els, kcd(ax))
         empirical = corpus_relation(els, witness_sets())
         for i in range(len(els)):
             for j in range(len(els)):
@@ -127,17 +131,17 @@ def test_proved_is_sound_for_corpus():
 def test_proved_equals_corpus_on_evens():
     for ax in (BASE, PB):
         els = evens(ax)
-        assert proved_relation(els, ax).leq == corpus_relation(els, witness_sets()).leq
+        assert proved_relation(els, kcd(ax)).leq == corpus_relation(els, witness_sets()).leq
 
 
 def test_hasse_zfc_fourteen_edges():
-    edges = set(hasse(proved_relation(evens(BASE), BASE)))
+    edges = set(hasse(proved_relation(evens(BASE), kcd(BASE))))
     assert edges == set(ZFC_HASSE)
     assert len(edges) == 14
 
 
 def test_hasse_pb_is_printed_plus_repaired_edge():
-    edges = set(hasse(proved_relation(evens(PB), PB)))
+    edges = set(hasse(proved_relation(evens(PB), kcd(PB))))
     assert edges == set(PB_HASSE)
     assert edges - set(PB_HASSE_PRINTED) == {PB_HASSE_REPAIRED_EDGE}
     assert len(edges) == 11
@@ -150,7 +154,7 @@ def test_hasse_trivial_chain():
 
 
 def test_hasse_idempotent_under_transitive_closure():
-    rel = proved_relation(evens(BASE), BASE)
+    rel = proved_relation(evens(BASE), kcd(BASE))
     edges = hasse(rel)
     # Rebuild the relation from its own reduction: same reduction again.
     els = rel.elements
@@ -179,7 +183,7 @@ def test_proved_requires_canonical_elements():
     # "kid" is not canonical (it reduces to d); "f" is canonical but not k,c,d.
     for word in ("kid", "f"):
         with pytest.raises(ValueError) as exc:
-            proved_relation((word,), BASE)
+            proved_relation((word,), kcd(BASE))
         assert str(exc.value) == (f"'{word}' is not a canonical element of the "
                                   f"k,c,d monoid under BASE")
 
@@ -225,15 +229,16 @@ def test_a_passing_corpus_relation_never_evaluates_the_universal_witness(monkeyp
 
     monkeypatch.setattr(verify, "apply_word", recording_apply_word)
     els = evens(BASE)
-    assert corpus_relation(els, witness_sets()).leq == proved_relation(els, BASE).leq
+    assert corpus_relation(els, witness_sets()).leq == proved_relation(els, kcd(BASE)).leq
     assert evaluated and tame(UNIVERSAL) not in evaluated
 
 
 @pytest.mark.parametrize("ax", [BASE, PB], ids=lambda ax: ax.name)
 def test_proved_relation_matches_the_normalize_closure(ax):
-    els = enumerate_monoid("kcd", ax).elements
+    table = kcd(ax)
+    els = table.elements
     assert len(els) == {"BASE": 22, "PB": 18}[ax.name]
-    assert proved_relation(els, ax).leq == _normalize_closure(els, ax)
+    assert proved_relation(els, table).leq == _normalize_closure(els, ax)
 
 
 def test_proved_relation_normalizes_only_the_seeds(monkeypatch):
@@ -246,5 +251,5 @@ def test_proved_relation_normalizes_only_the_seeds(monkeypatch):
     monkeypatch.setattr(poset, "normalize", counting_normalize)
     for ax in (BASE, PB):
         calls.clear()
-        proved_relation(evens(ax), ax)
+        proved_relation(evens(ax), kcd(ax))
         assert len(calls) <= 2 * len(PROVED_SEEDS) == 16

@@ -21,6 +21,16 @@ CV = witness("cV")
 ON_U_TEXT = render_symbolic(tame(UNIVERSAL))
 
 
+def _full(base=BASE):
+    """The kicdf tables run_verify hands criteria 3 and 10, with BASE's
+    built under `base`."""
+    return {"BASE": monoid.enumerate_monoid(verify.LETTERS, base),
+            "PB": monoid.enumerate_monoid(verify.LETTERS, PB)}
+
+
+FULL = _full()
+
+
 def _checks(run, *args):
     checks = []
     run(checks, *args)
@@ -39,7 +49,7 @@ def _first_set_where_words_differ(lhs, rhs, sets):
 def test_criteria_pass_on_the_small_corpus():
     checks = {**_property_suites(),
               **_checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS),
-              **_checks(verify.check_rewrite_semantics, DEFAULT_PARAMS)}
+              **_checks(verify.check_rewrite_semantics, DEFAULT_PARAMS, FULL)}
     assert {c.status for c in checks.values()} == {"pass"}, checks
 
 
@@ -199,8 +209,8 @@ def test_6_checks_pb_rules_only_on_baire_property_sets():
     assert check.status == "pass", check.details
 
 
-def _criterion_10():
-    return _checks(verify.check_rewrite_semantics, DEFAULT_PARAMS)["10-rewrite-semantics"]
+def _criterion_10(full=FULL):
+    return _checks(verify.check_rewrite_semantics, DEFAULT_PARAMS, full)["10-rewrite-semantics"]
 
 
 def test_10_fails_on_a_wrong_normal_form(monkeypatch):
@@ -209,51 +219,42 @@ def test_10_fails_on_a_wrong_normal_form(monkeypatch):
     real = monoid.normalize
     monkeypatch.setattr(monoid, "normalize",
                         lambda word, ax: "k" if real(word, ax) == "d" else real(word, ax))
-    check = _criterion_10()
+    check = _criterion_10(_full())
     assert check.status == "fail"
     assert check.details.startswith(f"BASE: ccd = k fails on {ON_U_TEXT}; ")
 
 
-def test_10_fails_on_a_wrong_cayley_entry(monkeypatch):
-    real = verify.enumerate_monoid
-
-    def moved(gens, ax):
-        table = real(gens, ax)
+def test_10_fails_on_a_wrong_cayley_entry():
+    def moved(table):
         row = list(table.left_cayley["d"])
         row[1] = (row[1] + 1) % len(table.elements)
         return dataclasses.replace(table, left_cayley={**table.left_cayley, "d": tuple(row)})
 
-    table = real(verify.LETTERS, BASE)
+    table = FULL["BASE"]
     u = table.elements[1]
     wrong = table.elements[(table.left_cayley["d"][1] + 1) % len(table.elements)]
-    monkeypatch.setattr(verify, "enumerate_monoid", moved)
-    check = _criterion_10()
+    check = _criterion_10({ax_name: moved(t) for ax_name, t in FULL.items()})
     assert check.status == "fail"
     assert check.details.startswith(f"BASE: d{u} = {wrong} fails on {ON_U_TEXT}; ")
 
 
-def test_10_fails_on_a_false_rule(monkeypatch):
+def test_10_fails_on_a_false_rule():
     # dcd = d fails on R: dR = R, but dcdR = cidR is empty.
     bad = RewriteRule("dcd", "d", "BASE", "false rule under test", "derived")
-    monkeypatch.setattr(verify, "BASE", AxiomSystem("BASE+bad", (bad,) + BASE.rules))
-    check = _criterion_10()
+    check = _criterion_10(_full(AxiomSystem("BASE+bad", (bad,) + BASE.rules)))
     assert check.status == "fail"
     assert check.details.startswith(f"BASE+bad: dcd = d fails on {ON_U_TEXT}")
 
 
-def test_10_fails_on_a_pb_rule_in_base_on_a_v_mode_set(monkeypatch):
+def test_10_fails_on_a_pb_rule_in_base_on_a_v_mode_set():
     # dc = cid holds on every tame set, so only a V-mode witness refutes it.
     pb_rule = next(r for r in PB.rules if (r.lhs, r.rhs) == ("dc", "cid"))
-    monkeypatch.setattr(verify, "BASE", AxiomSystem("BASE+dc", (pb_rule,) + BASE.rules))
-    check = _criterion_10()
+    check = _criterion_10(_full(AxiomSystem("BASE+dc", (pb_rule,) + BASE.rules)))
     assert check.status == "fail"
     assert check.details == f"BASE+dc: dc = cid fails on {render_symbolic(plus_v(UNIVERSAL))}"
 
 
 def test_a_passing_criterion_10_calls_neither_normalize_nor_random_tame(monkeypatch):
-    tables = {ax: verify.enumerate_monoid(verify.LETTERS, ax) for ax in (BASE, PB)}
-    monkeypatch.setattr(verify, "enumerate_monoid", lambda gens, ax: tables[ax])
-
     def forbidden(*args):
         raise AssertionError("called")
 
@@ -267,6 +268,45 @@ def test_a_passing_criterion_10_calls_neither_normalize_nor_random_tame(monkeypa
         "monoids (230 BASE, 200 PB) on U, and on each BASE edge on 5 V-mode sets")
 
 
+def test_3_fails_when_the_40_pb_operators_are_under_counted(monkeypatch):
+    real = verify.distinguish
+
+    def under_counting(s, words):
+        count, images = real(s, words)
+        return (count - 1 if len(words) == 40 else count), images
+
+    monkeypatch.setattr(verify, "distinguish", under_counting)
+    check = _checks(verify.check_distinctness, DEFAULT_PARAMS, FULL)["3-distinctness"]
+    assert check.status == "fail"
+    assert check.details.startswith("40 ops on ") and check.details.endswith(": 39 != 40")
+
+
+def test_7_fails_when_a_walked_table_misses_an_element():
+    tables = {(gens, ax_name): monoid.submonoid(FULL[ax_name], gens)
+              for gens, ax_name, _ in verify.EXPECTED_COUNTS}
+    table = tables["kcd", "BASE"]
+    assert table.elements[-1] == "ckik"
+    tables["kcd", "BASE"] = dataclasses.replace(table, elements=table.elements[:-1])
+    check = _checks(verify.check_completion, tables)["7-completion"]
+    assert check.status == "fail"
+    assert check.details == "<kcd> BASE: ikic reduces to ckik, outside the canonical set"
+
+
+def test_a_passing_run_makes_one_closure_search_per_axiom_system(monkeypatch):
+    searches = []
+    real = rewrite.completion_check
+
+    def counting(ax, gens, candidate=None):
+        if candidate is None:
+            searches.append((ax.name, "".join(sorted(gens))))
+        return real(ax, gens, candidate)
+
+    for module in (rewrite, monoid, verify):
+        monkeypatch.setattr(module, "completion_check", counting)
+    assert verify.run_verify(corpus_size=17).ok
+    assert searches == [("BASE", "cdfik"), ("PB", "cdfik")]
+
+
 def _undecidable(*args):
     raise Undecidable("injected")
 
@@ -275,7 +315,7 @@ def _undecidable(*args):
     (verify.check_property_suites, (CORPUS,), "5b-baire-equalities"),
     (verify.check_property_suites, (CORPUS,), "5c-baire-failures-on-vitali"),
     (verify.check_rule_validation, (CORPUS, DEFAULT_PARAMS), "6-rule-validation"),
-    (verify.check_rewrite_semantics, (DEFAULT_PARAMS,), "10-rewrite-semantics"),
+    (verify.check_rewrite_semantics, (DEFAULT_PARAMS, FULL), "10-rewrite-semantics"),
 ], ids=["5b", "5c", "6", "10"])
 def test_an_undecidable_instance_is_never_a_pass(monkeypatch, run, args, cid):
     monkeypatch.setattr(verify, "apply_word", _undecidable)
