@@ -89,7 +89,12 @@ breakpoint tuples.  It compares each pair of breakpoints once for equality
 and at most once for order, and emits the combined profile directly: each
 gap's trace through a trace table (_UNION, _INTER, _LE), each breakpoint's
 membership through a bool table (_OR, _AND, _IMPLIES), where a breakpoint
-missing from one side takes that side's natural membership.  `contains`
+missing from one side takes that side's natural membership.  The inclusion
+walk also says what a minus b is when it is small: a gap failing _LE is an
+interval or a dense trace of the difference, and with every gap passing
+the difference is exactly the breakpoints failing _IMPLIES.  So
+`difference_points` answers "is a minus b empty, one point or more?" from
+that walk alone, with no complement and no minimized profile.  `contains`
 bisects the breakpoints.  `from_cells` maps each cell's endpoints to
 breakpoint indices once and fills traces and memberships by index.  A
 TameSet computes its hash on first use, so short-lived intermediate
@@ -405,9 +410,23 @@ def difference(a: TameSet, b: TameSet) -> TameSet:
     return intersect(a, complement(b))
 
 
+def difference_points(a: TameSet, b: TameSet) -> tuple | None:
+    """a minus b when it is a finite set of breakpoints, else None.
+
+    One inclusion walk: a gap whose traces fail _LE leaves an interval or a
+    dense trace of a outside b (None); otherwise a minus b is the
+    breakpoints whose memberships fail _IMPLIES, () when a is a subset of b.
+    """
+    breaks, gaps, pts = _merge(a, b, _LE, _IMPLIES)
+    if not all(gaps):
+        return None
+    if all(pts):
+        return ()
+    return tuple(x for x, p in zip(breaks, pts) if not p)
+
+
 def is_subset(a: TameSet, b: TameSet) -> bool:
-    _, gaps, pts = _merge(a, b, _LE, _IMPLIES)
-    return all(gaps) and all(pts)
+    return difference_points(a, b) == ()
 
 
 # -- the five operators ----------------------------------------------------

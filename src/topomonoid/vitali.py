@@ -56,28 +56,39 @@ locality lemma (see realsets) composing the shape steps and their keep
 maps gives the very profile the letter-by-letter fold builds.  Tame steps
 therefore never reach the value cache.
 
-Comparisons reduce to two questions about a tame remainder R:
+A subset test A in B is the three-valued AND of an off-V question and an
+on-V question.  Off V every mode equals its base, so the off-V question is
+whether the remainder R = A.base minus B.base is a subset of V.  It is
+answered from one inclusion walk of the two bases,
+realsets.difference_points, which never builds R:
 
-    R subset of V?   False unless R is a finite set of (rational)
-                     breakpoints: two rationals lie in one coset, any
-                     interval or trace contains two points of one coset.
-                     A single rational point inside W1 is undecidable.
-    R disjoint from V?  Decided by intersecting with W1: V meets every
-                     open interval of W1 and every irrationals trace in
-                     W1 (V minus Q is still dense in W1); a rationals
-                     trace or a finite point set inside W1 may or may
-                     not catch V's single rational representative —
-                     undecidable.
+    None (R holds an interval or a dense trace)   False
+    two or more points                            False
+    one point outside W1                          False
+    one point inside W1                           None (undecidable)
+    () (R is empty)                               True
 
-A subset test A in B is the three-valued AND of an off-V question (is
-R = A minus B a subset of V?) and an on-V question driven by the two
-modes (for two tame sets: is R disjoint from V?).  Answers are returned as
-soon as they are settled: two tame sets with A a subset of B give True
-without building R, a False off-V answer skips the on-V question, and a
-False first direction of an equality skips the second.  Two tame sets that
-differ by one rational point inside W1 still come out None: each half is
-undecidable on its own, though together they force False.  That is a known
-completeness defect, pinned by an xfail test and not yet mended.
+An interval or a trace holds two points of one coset of Q, and so do two
+rationals, while V holds at most one point of each coset; V lies inside
+the open set W1; whether a rational inside W1 is V's one rational point
+is not determined by the axioms.
+
+The on-V question is driven by the two modes.  Where neither mode settles
+it, it asks whether a tame set T misses V (T = cB for A plusV and B tame,
+T = A for A tame and B minusV).  That is decided by intersecting with W1:
+V meets every open interval of W1 and every irrationals trace in W1 (V
+minus Q is still dense in W1); a rationals trace or a finite point set
+inside W1 may or may not catch V's single rational representative —
+undecidable.  For two tame sets T would be R itself, and the on-V answer
+is the off-V one: an empty R misses V, and one rational inside W1 may or
+may not be V's.  So a tame pair is answered by the walk alone.
+
+Answers are returned as soon as they are settled: a False off-V answer
+skips the on-V question, and a False first direction of an equality skips
+the second.  Two tame sets that differ by one rational point inside W1
+still come out None: each half is undecidable on its own, though together
+they force False.  That is a known completeness defect, pinned by an xfail
+test and not yet mended.
 
 Boolean combinations have one case analysis, in sym_union; intersection
 and difference follow by De Morgan:
@@ -93,7 +104,6 @@ the union's "tame part partly meets W1" raise asks the same two questions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import realsets
@@ -105,14 +115,33 @@ class Undecidable(Exception):
     """The axioms of the Vitali atom do not determine the answer."""
 
 
-@dataclass(frozen=True)
 class VitaliParams:
-    """Session parameters of the atom: open W0 subset of W1, W0 nonempty."""
+    """Session parameters of the atom: open W0 subset of W1, W0 nonempty.
 
-    w0: TameSet
-    w1: TameSet
-    kw0: TameSet
-    kw1: TameSet
+    Immutable by convention, like TameSet; equal when every field is equal.
+    """
+
+    __slots__ = ("w0", "w1", "kw0", "kw1", "_hash")
+
+    def __init__(self, w0: TameSet, w1: TameSet, kw0: TameSet, kw1: TameSet):
+        self.w0 = w0
+        self.w1 = w1
+        self.kw0 = kw0
+        self.kw1 = kw1
+        self._hash = hash((w0, w1, kw0, kw1))
+
+    def __eq__(self, other):
+        if other.__class__ is not VitaliParams:
+            return NotImplemented
+        return (self.w0, self.w1, self.kw0, self.kw1) == (
+            other.w0, other.w1, other.kw0, other.kw1)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"VitaliParams(w0={self.w0!r}, w1={self.w1!r}, "
+                f"kw0={self.kw0!r}, kw1={self.kw1!r})")
 
     @classmethod
     def make(cls, w0: TameSet, w1: TameSet) -> "VitaliParams":
@@ -133,11 +162,25 @@ MODE_PLUS = "plusV"
 MODE_MINUS = "minusV"
 
 
-@dataclass(frozen=True)
 class SymbolicSet:
-    base: TameSet
-    mode: str = MODE_TAME
-    params: VitaliParams | None = None
+    """tame(base), plusV(base) or minusV(base); immutable by convention, like
+    TameSet, and equal when base, mode and params are equal."""
+
+    __slots__ = ("base", "mode", "params")
+
+    def __init__(self, base: TameSet, mode: str = MODE_TAME,
+                 params: VitaliParams | None = None):
+        self.base = base
+        self.mode = mode
+        self.params = params
+
+    def __eq__(self, other):
+        if other.__class__ is not SymbolicSet:
+            return NotImplemented
+        return (self.base, self.mode, self.params) == (other.base, other.mode, other.params)
+
+    def __hash__(self):
+        return hash((self.base, self.mode, self.params))
 
     def is_tame(self) -> bool:
         return self.mode == MODE_TAME
@@ -246,20 +289,6 @@ def apply_word(word: str, s: SymbolicSet) -> SymbolicSet:
 # -- three-valued V facts ---------------------------------------------------
 
 
-def _subset_of_v(r: TameSet, params: VitaliParams):
-    """Is the tame remainder r a subset of V?  True/False/None(undecidable)."""
-    if r.is_empty():
-        return True
-    if any(g != realsets.NONE for g in r.gaps):
-        return False  # any interval or trace holds two points of one coset
-    points = [b for j, b in enumerate(r.breaks) if r.pts[j]]
-    if len(points) > 1:
-        return False  # two rationals share the coset Q; V holds at most one
-    if not params.w1.contains(points[0]):
-        return False  # V lies inside the open set W1
-    return None
-
-
 def _disjoint_from_v(r: TameSet, params: VitaliParams):
     """Is the tame set r disjoint from V?  True/False/None(undecidable)."""
     rw = intersect(r, params.w1)
@@ -281,23 +310,27 @@ def _and3(*vals):
 def _subset3(a: SymbolicSet, b: SymbolicSet):
     params = _params_of(a, b)
     ma, mb = a.mode, b.mode
-    if ma == MODE_TAME and mb == MODE_TAME and realsets.is_subset(a.base, b.base):
-        return True
-    # Off V every mode reduces to its base; on V membership is mode-driven.
-    r = realsets.difference(a.base, b.base)
-    off_v = _subset_of_v(r, params)
-    if off_v is False:
+    # Off V every mode reduces to its base: is R = a.base minus b.base in V?
+    points = realsets.difference_points(a.base, b.base)
+    if points == ():
+        off_v = True
+    elif points is None or len(points) > 1 or not params.w1.contains(points[0]):
+        # An interval or a trace of R holds two points of one coset of Q, and
+        # so do two rationals; V holds at most one point of each coset and
+        # lies inside the open set W1.
         return False
+    else:
+        off_v = None  # is the one rational point inside W1 V's own?
+    if ma == MODE_TAME and mb == MODE_TAME:
+        return off_v  # on V: R misses V, or it is that one point again
     if ma == MODE_MINUS or mb == MODE_PLUS:
         on_v = True
     elif ma == MODE_PLUS and mb == MODE_MINUS:
         on_v = False  # V is nonempty
     elif ma == MODE_PLUS:  # b tame: need V inside b
         on_v = _disjoint_from_v(complement(b.base), params)
-    elif mb == MODE_MINUS:  # a tame: need V to miss a
+    else:  # a tame, b minusV: need V to miss a
         on_v = _disjoint_from_v(a.base, params)
-    else:  # both tame
-        on_v = _disjoint_from_v(r, params)
     return _and3(off_v, on_v)
 
 

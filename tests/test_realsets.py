@@ -211,6 +211,21 @@ def test_combinators_match_cell_normalization():
     assert {"equal", "disjoint", "interleaved"} <= shapes
 
 
+def test_difference_points_match_the_built_difference():
+    u_s, u_t = realsets.universal_pair()
+    sizes = set()
+    for a, b in _pairs() + [(u_s, u_t), (u_t, u_s)]:
+        got = realsets.difference_points(a, b)
+        r = difference(a, b)
+        if any(g != realsets.NONE for g in r.gaps):
+            assert got is None, (a, b)
+        else:
+            assert got == tuple(x for x, p in zip(r.breaks, r.pts) if p), (a, b)
+        assert is_subset(a, b) == (got == ())
+        sizes.add(None if got is None else min(len(got), 2))
+    assert sizes == {None, 0, 1, 2}
+
+
 # -- the merge and from_cells against the scans they replaced -------------------
 
 

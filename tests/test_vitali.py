@@ -193,6 +193,27 @@ def test_custom_params():
         sym_equal(v, V)  # mixed parameters
 
 
+def test_params_and_symbolic_sets_are_values():
+    p, q = (VitaliParams.make(interval(0, 1), interval(0, 2)) for _ in range(2))
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert p != vitali.DEFAULT_PARAMS
+    base = interval(0, 3, density="rationals")
+    assert plus_v(base, p) == plus_v(base, q)
+    assert hash(plus_v(base, p)) == hash(plus_v(base, q))
+    assert plus_v(base, p) != minus_v(base, p) and plus_v(base, p) != tame(base)
+    # A set on equal parameters reads the value cache's entry for the other.
+    apply_word("k", plus_v(base, p))
+    before = vitali._cached_apply.cache_info()
+    assert apply_word("k", plus_v(base, q)) == tame(interval(0, 3, True, True))
+    after = vitali._cached_apply.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    with pytest.raises(ValueError, match="mixed Vitali parameters"):
+        sym_subset(plus_v(base, p), V)
+    assert repr(plus_v(base, p)) == "SymbolicSet('Q(0,3) u V')"
+    assert repr(minus_v(interval(8, 9))) == "SymbolicSet('(8,9) ∖ V')"
+    assert repr(tame(base)) == "SymbolicSet('Q(0,3)')"
+
+
 def test_empty_w0_is_rejected():
     # V is nonmeager, so dV = kW0 must be nonempty.
     with pytest.raises(ValueError, match="W0 must be nonempty.*nonmeager"):
@@ -202,10 +223,25 @@ def test_empty_w0_is_rejected():
 # -- comparison short-circuits against the full formula -------------------------
 
 
+def _subset_of_v(r, params):
+    """Is the tame remainder r a subset of V?  True/False/None(undecidable)."""
+    if r.is_empty():
+        return True
+    if any(g != realsets.NONE for g in r.gaps):
+        return False  # any interval or trace holds two points of one coset
+    points = [b for j, b in enumerate(r.breaks) if r.pts[j]]
+    if len(points) > 1:
+        return False  # two rationals share the coset Q; V holds at most one
+    if not params.w1.contains(points[0]):
+        return False  # V lies inside the open set W1
+    return None
+
+
 def _full_subset3(a, b):
-    """_subset3 as the full formula: both halves always evaluated."""
+    """_subset3 as the full formula on the built remainder: both halves
+    always evaluated."""
     params = vitali._params_of(a, b)
-    off_v = vitali._subset_of_v(realsets.difference(a.base, b.base), params)
+    off_v = _subset_of_v(realsets.difference(a.base, b.base), params)
     ma, mb = a.mode, b.mode
     if ma == "minusV" or mb == "plusV":
         on_v = True
@@ -280,6 +316,33 @@ def test_tame_sets_differing_by_one_rational_point_in_w1():
     assert sym_equal(a, b) is False
 
 
+def _counting_realsets(monkeypatch, *names):
+    calls = []
+    for name in names:
+        real = getattr(realsets, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(realsets, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("a,b,expected", [
+    (interval(0, 3), interval(0, 1), False),  # the remainder holds an interval
+    (interval(0, 1, True, True), interval(0, 1), False),  # two points
+    (interval(0, 1, True), interval(0, 1), False),  # one point outside W1
+    (union(interval(0, 1), point(Fraction(17, 2))), interval(0, 1), None),  # inside W1
+], ids=["interval", "two-points", "point-off-w1", "point-in-w1"])
+def test_a_tame_inclusion_that_fails_is_one_merge_walk(monkeypatch, a, b, expected):
+    calls = _counting_realsets(monkeypatch, "_merge", "_from_profile")
+    try:
+        got = sym_subset(tame(a), tame(b))
+    except Undecidable:
+        got = None
+    assert got is expected
+    assert calls == ["_merge"]
 # -- intersection and difference by De Morgan against the case analysis ---------
 
 
