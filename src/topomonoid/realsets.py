@@ -39,12 +39,25 @@ trace, membership, right trace).  Minimization reads only traces and
 memberships too.  So each operator is a map on the *shape* (gaps, pts):
 it yields the image's shape and the indices `keep` of the breakpoints
 that survive, and the breakpoint values merely ride along
-(breaks[j] for j in keep).  Each operator is written once as such a map,
-and `_step` memoizes it on (letter, gaps, pts): tuples of small ints and
-bools, so no Fraction is hashed or compared.  `apply_word` is the one
-entry into the memo: it walks a word on the shape, composes the keep maps
-and builds one TameSet at the end, and each of the five operators is
-`apply_word` on its one-letter word.
+(breaks[j] for j in keep).  Each operator is written once as such a map.
+
+Shapes are interned (hash-consing): each distinct shape is one _Shape
+node, made once through the table _SHAPES, and a node holds its moves,
+letter -> (keep, next node), each computed on first use.  A TameSet keeps
+the node of its shape once it has been walked, and an image is built with
+its node, so `apply_word` hashes a shape at most once per fresh set and
+then follows one move per letter: no Fraction, and no shape tuple, is
+hashed or compared on the way.  `apply_word` is the one entry into the
+graph: it composes the keep maps and builds one TameSet at the end, and
+each of the five operators is `apply_word` on its one-letter word.  Every
+node carries the epoch it was interned in, and a set's node counts only
+while that epoch is current.  `_reset_shapes` starts a new epoch with an
+empty table, so a reset is exact: a walk starts only at a node of the
+current epoch, and a move leads only to a node of its own epoch (the table
+is reset, when it reaches 262,144 shapes, before a walk and never during
+one), so moves computed before a reset (say, under a patched _SHAPE_OPS)
+are never followed again, even from nodes that long-lived sets such as U
+still hold.
 
 Universal witness.  By the lemma, the image of a set under a word over
 kicdf01 has, on each gap, a trace that depends only on the gap's trace,
@@ -95,8 +108,8 @@ interval or a dense trace of the difference, and with every gap passing
 the difference is exactly the breakpoints failing _IMPLIES.  So
 `difference_points` answers "is a minus b empty, one point or more?" from
 that walk alone, with no complement and no minimized profile.  `contains`
-bisects the breakpoints.  `from_cells` maps each cell's endpoints to
-breakpoint indices once and fills traces and memberships by index.  A
+bisects the breakpoints.  `from_cells` sorts the cells' endpoints once,
+hashing no Fraction, and fills traces and memberships by index.  A
 TameSet computes its hash on first use, so short-lived intermediate
 profiles that never serve as a cache key hash no Fraction.
 """
@@ -193,15 +206,16 @@ class Cell:
 class TameSet:
     """A normalized finite union of cells; immutable and hashable."""
 
-    __slots__ = ("breaks", "gaps", "pts", "_hash")
+    __slots__ = ("breaks", "gaps", "pts", "_hash", "_shape")
 
-    def __init__(self, breaks, gaps, pts, _trusted=False):
+    def __init__(self, breaks, gaps, pts, _trusted=False, _shape=None):
         if not _trusted:
             raise TypeError("use from_cells/interval/point/empty/reals constructors")
         self.breaks = breaks
         self.gaps = gaps
         self.pts = pts
         self._hash = None
+        self._shape = _shape
 
     # -- constructors -------------------------------------------------
 
@@ -213,21 +227,30 @@ class TameSet:
     def from_cells(cells: Iterable[Cell]) -> "TameSet":
         """Normalize an arbitrary (possibly overlapping) cell collection.
 
-        Each cell's endpoints become breakpoint indices once (-1 and n for
-        the infinite ends); the cell then covers gaps lo+1..hi and, unless
-        it is an irrationals trace, the breakpoints strictly between its
-        ends and its closed ends.  Only integers are compared.
+        The finite endpoints are sorted once, as positions into the list of
+        all endpoints, and equal neighbours share one breakpoint index, so
+        no Fraction is hashed.  Each cell then covers gaps lo+1..hi (-1 and
+        n stand for the infinite ends) and, unless it is an irrationals
+        trace, the breakpoints strictly between its ends and its closed
+        ends.  Only integers are compared after the sort.
         """
         cells = list(cells)
-        breaks = sorted({c.lo for c in cells if isinstance(c.lo, Fraction)}
-                        | {c.hi for c in cells if isinstance(c.hi, Fraction)})
+        ends = [e for c in cells for e in (c.lo, c.hi)]
+        finite = [j for j, e in enumerate(ends) if isinstance(e, Fraction)]
+        finite.sort(key=ends.__getitem__)
+        breaks: list[Fraction] = []
+        index = [-1] * len(ends)
+        for j in finite:
+            x = ends[j]
+            if not breaks or x is not breaks[-1] and x != breaks[-1]:
+                breaks.append(x)
+            index[j] = len(breaks) - 1
         n = len(breaks)
-        index = {b: j for j, b in enumerate(breaks)}
         gaps = [NONE] * (n + 1)
         pts = [False] * n
-        for c in cells:
-            lo = index[c.lo] if isinstance(c.lo, Fraction) else -1
-            hi = index[c.hi] if isinstance(c.hi, Fraction) else n
+        for i, c in enumerate(cells):
+            lo = index[2 * i]
+            hi = index[2 * i + 1] if isinstance(c.hi, Fraction) else n
             code = DENSITY_CODES[c.density]
             for j in range(lo + 1, hi + 1):
                 gaps[j] = _UNION[gaps[j]][code]
@@ -471,11 +494,63 @@ _SHAPE_OPS = {
 }
 
 
-@lru_cache(maxsize=262144)
-def _step(letter: str, gaps: tuple[int, ...], pts: tuple[bool, ...]):
-    """(keep, gaps, pts) of the letter's minimal image of any profile of
-    this shape; the image's breakpoints are breaks[j] for j in keep."""
-    return _minimize(*_SHAPE_OPS[letter](gaps, pts))
+class _Shape:
+    """One interned shape (gaps, pts), with the letters already walked from it.
+
+    `moves` maps an operator letter to (keep, next): keep is the indices of
+    the breakpoints that survive in the letter's minimal image (None when all
+    of them do), and next is the node of the image's shape.  A move is
+    computed once, on first use, from _SHAPE_OPS and _minimize.  `epoch` is
+    the epoch the node was interned in; a node is used only while that epoch
+    is current (see _reset_shapes).
+    """
+
+    __slots__ = ("gaps", "pts", "epoch", "moves")
+
+    def __init__(self, gaps: tuple[int, ...], pts: tuple[bool, ...]):
+        self.gaps = gaps
+        self.pts = pts
+        self.epoch = _epoch
+        self.moves = {}
+
+    def move(self, letter: str):
+        op = _SHAPE_OPS.get(letter)
+        if op is None:
+            raise ValueError(f"unknown operator letter {letter!r}")
+        keep, gaps, pts = _minimize(*op(self.gaps, self.pts))
+        move = self.moves[letter] = (None if len(keep) == len(self.pts) else keep,
+                                     _intern(gaps, pts))
+        return move
+
+
+_epoch = 0
+_SHAPES: dict[tuple[tuple[int, ...], tuple[bool, ...]], _Shape] = {}
+
+
+def _intern(gaps: tuple[int, ...], pts: tuple[bool, ...]) -> _Shape:
+    node = _SHAPES.get((gaps, pts))
+    if node is None:
+        node = _SHAPES[gaps, pts] = _Shape(gaps, pts)
+    return node
+
+
+def _shape_of(s: TameSet) -> _Shape:
+    """The current node of s's shape, interned on the first walk of s (and
+    on the first walk after a reset)."""
+    node = s._shape
+    if node is None or node.epoch != _epoch:
+        node = s._shape = _intern(s.gaps, s.pts)
+    return node
+
+
+def _reset_shapes() -> None:
+    """Forget every interned shape and move: start a new epoch with an empty
+    table.  Nodes still held by sets belong to an old epoch, so _shape_of
+    interns those sets afresh, and no move computed before the reset (say,
+    under another _SHAPE_OPS) is ever followed again."""
+    global _epoch
+    _epoch += 1
+    _SHAPES.clear()
 
 
 def closure(s: TameSet) -> TameSet:
@@ -516,30 +591,33 @@ def frontier(s: TameSet) -> TameSet:
 def apply_word(word: str, s: TameSet) -> TameSet:
     """Right-to-left image of s under a word over kicdf01, on the shape alone.
 
-    Each letter is one cached _step; the keep maps compose, and the image's
-    breakpoints are selected from those of s (or of the last constant) once,
-    at the end.  Returns s itself when the word leaves it unchanged.
+    Each letter follows one move of the interned shape graph; the keep maps
+    compose, and the image's breakpoints are selected from those of s (or of
+    the last constant) once, at the end.  The image carries the node of its
+    shape.  Returns s itself when the word leaves its shape unchanged.
     """
+    if len(_SHAPES) >= 262144:
+        _reset_shapes()
     start = s
-    gaps, pts = s.gaps, s.pts
+    node = start_node = _shape_of(s)
     keep = None  # None: every breakpoint of start survives
-    for pos in range(len(word) - 1, -1, -1):
-        ch = word[pos]
-        if ch == "0" or ch == "1":
-            start = EMPTY if ch == "0" else REALS
-            gaps, pts, keep = start.gaps, start.pts, None
-            continue
-        if ch not in _SHAPE_OPS:
-            raise ValueError(f"unknown operator letter {ch!r}")
-        n = len(pts)
-        step, gaps, pts = _step(ch, gaps, pts)
-        if len(step) != n:
+    for ch in reversed(word):
+        move = node.moves.get(ch)
+        if move is None:
+            if ch == "0" or ch == "1":
+                start = EMPTY if ch == "0" else REALS
+                node = start_node = _shape_of(start)
+                keep = None
+                continue
+            move = node.move(ch)
+        step, node = move
+        if step is not None:
             keep = step if keep is None else tuple(keep[j] for j in step)
     if keep is None:
-        if gaps == start.gaps and pts == start.pts:
+        if node is start_node:
             return start
-        return TameSet(start.breaks, gaps, pts, _trusted=True)
-    return TameSet(tuple(start.breaks[j] for j in keep), gaps, pts, _trusted=True)
+        return TameSet(start.breaks, node.gaps, node.pts, True, node)
+    return TameSet(tuple(start.breaks[j] for j in keep), node.gaps, node.pts, True, node)
 
 
 # -- rendering ------------------------------------------------------------

@@ -50,11 +50,12 @@ letter, because k, d, f and i = ckc always give a tame image, and it is
 the only place Undecidable can arise; k, d and f on a plusV set merge
 breakpoints with kW1 or kW0, which the cache spares the words applied to
 one set.  From the first tame image on, the rest of the word is one
-realsets.apply_word walk on the profile's shape.  That walk is exact:
-sym_apply on tame(B) is tame of the realsets operator on B, and by the
-locality lemma (see realsets) composing the shape steps and their keep
-maps gives the very profile the letter-by-letter fold builds.  Tame steps
-therefore never reach the value cache.
+realsets.apply_word walk on the profile's shape, one move of the interned
+shape graph per letter.  That walk is exact: sym_apply on tame(B) is tame
+of the realsets operator on B, and by the locality lemma (see realsets)
+composing the moves and their keep maps gives the very profile the
+letter-by-letter fold builds.  Tame steps therefore never reach the value
+cache.
 
 A subset test A in B is the three-valued AND of an off-V question and an
 on-V question.  Off V every mode equals its base, so the off-V question is

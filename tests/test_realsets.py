@@ -485,6 +485,63 @@ def test_apply_word_walks_like_the_letter_fold():
         apply_word("kx", s)
 
 
+def _fold(word, s):
+    """The image of s under word, letter by letter through _SHAPE_OPS and
+    _minimize, with the breakpoints selected through the composed keep maps."""
+    start, gaps, pts, keep = s, s.gaps, s.pts, range(len(s.breaks))
+    for ch in reversed(word):
+        if ch in "01":
+            start = realsets.EMPTY if ch == "0" else realsets.REALS
+            gaps, pts, keep = start.gaps, start.pts, ()
+            continue
+        step, gaps, pts = realsets._minimize(*realsets._SHAPE_OPS[ch](gaps, pts))
+        keep = [keep[j] for j in step]
+    return TameSet._raw([start.breaks[j] for j in keep], gaps, pts)
+
+
+def _interned_moves():
+    return len(realsets._SHAPES), sum(len(node.moves) for node in realsets._SHAPES.values())
+
+
+@LOCAL
+@given(shape_with_two_placements(), st.text(alphabet="kicdf01", max_size=12))
+def test_interned_walk_is_the_letter_fold(drawn, word):
+    gaps, pts, (xs, _) = drawn
+    realsets._reset_shapes()
+    for s in (TameSet._raw(xs, gaps, pts), realsets._from_profile(xs, gaps, pts)):
+        img = apply_word(word, s)
+        assert img == _fold(word, s), (word, s)
+        assert img._shape.epoch == realsets._epoch
+        assert (img._shape.gaps, img._shape.pts) == (img.gaps, img.pts)
+        if "0" not in word and "1" not in word and img == s:
+            assert img is s, word
+        interned = _interned_moves()
+        assert apply_word(word, s) == img
+        assert _interned_moves() == interned, word
+
+
+def test_a_reset_forgets_moves_computed_under_another_operator(monkeypatch):
+    u = realsets.UNIVERSAL
+    original = apply_word("d", u)
+    assert "d" in u._shape.moves
+
+    def d_that_fills_every_nonempty_gap(gs, ps):
+        filled = [g != realsets.NONE for g in gs]
+        return ([realsets.FULL if f else realsets.NONE for f in filled],
+                [filled[j] or filled[j + 1] for j in range(len(ps))])
+
+    monkeypatch.setitem(realsets._SHAPE_OPS, "d", d_that_fills_every_nonempty_gap)
+    realsets._reset_shapes()
+    try:
+        patched = apply_word("d", u)
+    finally:
+        monkeypatch.undo()
+        realsets._reset_shapes()
+    assert patched == realsets._from_profile(u.breaks, *d_that_fills_every_nonempty_gap(u.gaps, u.pts))
+    assert patched != original
+    assert apply_word("d", u) == original
+
+
 # -- boolean and Kuratowski laws on drawn sets ------------------------------------
 
 

@@ -102,7 +102,7 @@ def _d_that_also_fills_rationals_gaps(gs, ps):
 
 
 def _clear_image_caches():
-    realsets._step.cache_clear()
+    realsets._reset_shapes()
     vitali._cached_apply.cache_clear()
 
 
