@@ -31,11 +31,10 @@ WITNESS_NAMES = ("A18", "A22", "V", "cV", "empty", "full")
 
 
 def witness(name: str, params: VitaliParams = DEFAULT_PARAMS) -> SymbolicSet:
-    base18 = parse_set_dsl(A18_TEXT, params).base
     if name == "A18":
-        return tame(base18)
+        return parse_set_dsl(A18_TEXT, params)
     if name == "A22":
-        return plus_v(base18, params)
+        return plus_v(parse_set_dsl(A18_TEXT, params).base, params)
     if name == "V":
         return plus_v(realsets.EMPTY, params)
     if name == "cV":
@@ -83,9 +82,6 @@ class Corpus:
     named: dict[str, SymbolicSet]
     random: RandomSets
 
-    def all_sets(self) -> list[SymbolicSet]:
-        return list(self.named.values()) + [tame(s) for s in self.random]
-
 
 def build_corpus(size: int = 1000, seed: int = 1729,
                  params: VitaliParams = DEFAULT_PARAMS) -> Corpus:
@@ -115,7 +111,8 @@ def random_tame(seed: int, n: int = 4) -> TameSet:
         raise ValueError("cell bound must be at least 1")
     rng = random.Random(f"tame:{seed}:{n}")
     k = rng.randint(1, n)
-    points = sorted({_grid_value(rng) for _ in range(2 * k)})
+    draws = sorted(_grid_value(rng) for _ in range(2 * k))
+    points = draws[:1] + [q for p, q in zip(draws, draws[1:]) if q != p]  # distinct, unhashed
     cells: list[Cell] = []
     for j in range(0, len(points) - 1, 2 if rng.random() < 0.5 else 1):
         if len(cells) >= k:

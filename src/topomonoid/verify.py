@@ -41,9 +41,10 @@ d-laws (its word identities among them), 5b's laws and equalities, 5c,
 it is decided on a witness that shows every location, U for a law in one
 set and realsets.universal_pair() for a law in two; each law is then
 exact over every tame set or tame pair, and only the plusV/minusV inputs
-are evaluated one by one.  8's corpus order is the exception: its inputs
-are the six named witnesses, three of them small tame sets, so it passes
-the empty witness, which shows no location, and evaluates every input
+are evaluated one by one.  5c and 8's corpus order are the exceptions:
+they pass the empty witness, which shows no location, and evaluate every
+input.  5c's one input is V, which must refute each equality itself.
+8's inputs are the six named witnesses, three of them small tame sets
 (corpus_relation has the argument that the order is unchanged).  An
 undecidable instance is a skip in 5a, in 6's rule table and in 8's
 corpus order, and a failure everywhere else.
@@ -51,21 +52,19 @@ Like 5b's equalities, 6's PB-tier rules are checked on Baire-property
 sets.
 
 The random corpus sets are built on first use (corpus.RandomSets).  The
-random part of each law table's inputs is one TameBlock: 5a's random
-sets and its 999 random-random cyclic pairs, and 5b's and 6's random
-sets after the named ones.  first_failures passes a block whole, making
-none of its inputs, when every law holds cleanly on its witness or has
-failed, and otherwise walks it in order.  A random set enters a walked
-input as a RandomInput, tame by construction, and is built only when
-that input is evaluated or named in a problem.  So a passing run builds
-only the random sets it evaluates, whatever the corpus size: the last
-one and set 0 (999 and 0 at the default size), the neighbours of the
-V-mode sets in 5a's cyclic pairs and the only two RandomInputs it makes.
-The reports "hold on 1003 corpus sets" and "all 57 rules pass on the
-full corpus" count the block lengths, and are true through the locality
-lemma: a law that holds cleanly at every location of its witness holds
-on every tame set, built or not.  A law that no input fails but its
-witness does fails on the witness's first set (first_failures).
+random part of each law table's inputs is a plain iterator, made at its
+call site: 5a's random sets and its 999 random-random cyclic pairs, and
+5b's and 6's random sets after the named ones.  first_failures pulls an
+iterator one input at a time, and only while some law is still open on
+tame inputs, so an input is made only when it will be evaluated.  A
+passing run pulls none, and builds only the two random sets that 5a
+pairs with the V-mode sets, whatever the corpus size: the last one and
+set 0 (999 and 0 at the default size).  The reports "hold on 1003 corpus
+sets" and "all 57 rules pass on the full corpus" count len(corpus.random)
+and the named inputs, and are true through the locality lemma: a law
+that holds cleanly at every location of its witness holds on every tame
+set, built or not.  A law that no input fails but its witness does fails
+on the witness's first set (first_failures).
 
 Criterion 8 compares two orders on the even operators: the proved one
 (poset.proved_relation, on the rewrite side, closed over the Cayley rows
@@ -77,6 +76,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
@@ -86,7 +86,7 @@ from .realsets import UNIVERSAL, complement, universal_pair
 from .rewrite import completion_check
 from .rules import BASE, PB, TYPO_LEDGER, get_axioms
 from .tables import even_figure, vitali_figure
-from .vitali import (DEFAULT_PARAMS, SymbolicSet, Undecidable, apply_word, distinguish,
+from .vitali import (DEFAULT_PARAMS, Undecidable, apply_word, distinguish,
                      has_baire_property, is_meager, minus_v, plus_v, render_symbolic,
                      sym_difference, sym_equal, sym_subset, sym_union, tame)
 from .words import LETTERS, render_word
@@ -354,52 +354,11 @@ def _with_union(s, t):
     return s, t, sym_union(s, t)
 
 
-class RandomInput(NamedTuple):
-    """Random corpus set j as a law input, built only when it is used.
-
-    Every random corpus set is tame, so law_violations knows it is without
-    building it, and has_baire_property would say True of it.  The set is
-    built (and then kept by corpus.random) only when a law evaluates it or
-    a problem names it.
-    """
-
-    random: corpus_mod.RandomSets
-    j: int
-
-    def is_tame(self) -> bool:
-        return True
-
-    def build(self) -> SymbolicSet:
-        return tame(self.random[self.j])
-
-
-class TameBlock(NamedTuple):
-    """The n inputs make(0), ..., make(n - 1) of first_failures, in order,
-    made only if they are walked.  Every set in them is tame."""
-
-    n: int
-    make: Callable
-
-
-def _random_block(random) -> TameBlock:
-    """Each random corpus set j as the one-set input (RandomInput j)."""
-    return TameBlock(len(random), lambda j: (RandomInput(random, j),))
-
-
-def _input_count(inputs) -> int:
-    return sum(item.n if isinstance(item, TameBlock) else 1 for item in inputs)
-
-
-def _corpus_inputs(corpus):
-    """(every corpus set, the Baire-property ones) as one-set inputs, in
-    Corpus.all_sets order: the named sets, then the random block.
-
-    The random sets are tame, so each has the Baire property.
-    """
-    named = list(corpus.named.values())
-    block = _random_block(corpus.random)
-    return ([(s,) for s in named] + [block],
-            [(s,) for s in named if has_baire_property(s) is True] + [block])
+def _named_inputs(corpus):
+    """(every named corpus set, the Baire-property ones) as one-set inputs.
+    The random sets after them are tame, so each has the Baire property."""
+    named = [(s,) for s in corpus.named.values()]
+    return named, [(s,) for (s,) in named if has_baire_property(s) is True]
 
 
 def _outcome(law, args) -> bool | None:
@@ -412,7 +371,7 @@ def _outcome(law, args) -> bool | None:
 
 def law_violations(laws, inputs, witness, prepare=lambda *sets: sets):
     """(problems, skipped) of the laws over the inputs, each a tuple of sets
-    or a TameBlock of them.
+    or an iterator of tame ones.
 
     A law stops at its first failing input, which its problem names by the
     input's first set; problems follow the order of the laws.  See
@@ -428,9 +387,10 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     """(first, skipped): per law, the first set of its first failing input
     (None if it fails on none), and the number of skips.
 
-    An input is a tuple of sets, SymbolicSets or RandomInputs; a
-    RandomInput is built only if the input is evaluated.  A TameBlock
-    stands for its inputs in order, each made only if it is walked.
+    An input is a tuple of sets.  Any other item of inputs is an iterator
+    of inputs whose sets are all tame, pulled one input at a time and only
+    while some law is still open on tame inputs, so an input is made only
+    when it will be evaluated.
     prepare(*sets) gives the laws their arguments.  Each Undecidable, from
     prepare (which then skips the input) or from a law, is one skip, never
     a pass; one from prepare on the witness leaves every law undecided
@@ -445,10 +405,10 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     of every tame input, so on each such input it holds, which is the very
     answer evaluation would give: for tame sets is_meager is exact, and
     sym_subset and sym_equal answer True on every true inclusion or
-    equality.  Such inputs count as checked without being evaluated.  So a
-    TameBlock is passed whole, unmade, once every law holds cleanly on the
-    witness or has failed; otherwise its inputs are walked, in order, each
-    with only the laws still open on a tame input.  If the law fails on the
+    equality.  Such inputs count as checked without being evaluated.  So an
+    iterator is left unpulled once every law holds cleanly on the witness
+    or has failed; until then each input it gives is evaluated with only
+    the laws still open on a tame input.  If the law fails on the
     witness, or is undecidable there, the witness itself is a tame input on
     which it does not hold cleanly, so no tame input is passed unevaluated:
     each is evaluated, because whether an input fails the law or is
@@ -457,9 +417,10 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     last input: a law false there fails on the witness's first set, and
     one undecidable there counts one skip (one in all when prepare is, as
     on any input).  So a law false on some tame set never passes,
-    whichever inputs it is given.  Inputs with a plusV/minusV set are
-    always evaluated: their images depend on where their breakpoints lie
-    relative to W0 and W1, which no tame witness covers.
+    whichever inputs it is given, an iterator already used up included.
+    Inputs with a plusV/minusV set are always evaluated: their images
+    depend on where their breakpoints lie relative to W0 and W1, which no
+    tame witness covers.
     """
     on_witness = []  # per law: True, False, or None if undecidable
     witness_args = None
@@ -480,7 +441,6 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
 
     def evaluate(sets, js):
         nonlocal skipped
-        sets = tuple(s.build() if isinstance(s, RandomInput) else s for s in sets)
         try:
             args = prepare(*sets)
         except Undecidable:
@@ -494,16 +454,13 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
                 skipped += 1
 
     for item in inputs:
-        if isinstance(item, TameBlock):
-            for k in range(item.n):
-                js = pending(True)
-                if not js:
-                    break
-                evaluate(item.make(k), js)
-        else:
+        if isinstance(item, tuple):
             js = pending(all(s.is_tame() for s in item))
             if js:
                 evaluate(item, js)
+        else:
+            while (js := pending(True)) and (sets := next(item, None)) is not None:
+                evaluate(sets, js)
     # The witness, as a last input, for the laws that no input failed.
     unfailed = [j for j, held in enumerate(on_witness) if first[j] is None and held is not True]
     if witness_args is None:
@@ -548,34 +505,35 @@ def _d_law_violations(singles, pairs) -> tuple[list[str], int]:
 
 def check_property_suites(checks, corpus):
     # The random sets, then V, cV and A22; the pairs are each set with the
-    # next, cyclically: the random block's neighbours, then the pairs that
-    # hold a V-mode set.
+    # next, cyclically: the random neighbours, then the pairs that hold a
+    # V-mode set, which are always evaluated.
     random = corpus.random
     tail = [corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
-    singles = [_random_block(random)] + [(s,) for s in tail]
-    ends = [RandomInput(random, len(random) - 1), *tail, RandomInput(random, 0)]
-    pairs = [TameBlock(len(random) - 1,
-                       lambda j: (RandomInput(random, j), RandomInput(random, j + 1)))]
-    problems, skipped = _d_law_violations(singles, pairs + list(zip(ends, ends[1:])))
+    singles = [((tame(r),) for r in random)] + [(s,) for s in tail]
+    ends = [tame(random[-1]), *tail, tame(random[0])]
+    pairs = [((tame(r), tame(s)) for r, s in pairwise(random)), *zip(ends, ends[1:])]
+    problems, skipped = _d_law_violations(singles, pairs)
     _check(checks, "5a-d-operator-laws",
-           f"d-operator laws (a)-(i) hold on {_input_count(singles)} corpus sets "
+           f"d-operator laws (a)-(i) hold on {len(random) + len(tail)} corpus sets "
            f"({skipped} undecidable instances skipped)", problems)
 
-    _, bp_inputs = _corpus_inputs(corpus)
-    problems, skipped = law_violations(BAIRE_SET_LAWS, bp_inputs, ON_U)
+    _, bp_named = _named_inputs(corpus)
+    problems, skipped = law_violations(
+        BAIRE_SET_LAWS, bp_named + [((tame(r),) for r in random)], ON_U)
     if skipped:
         problems.append(f"{skipped} instances undecidable on property-true sets")
     _check(checks, "5b-baire-equalities",
-           f"Baire-property equalities hold on all {_input_count(bp_inputs)} "
+           f"Baire-property equalities hold on all {len(bp_named) + len(random)} "
            f"property-true corpus sets", problems)
 
+    # The empty witness: each equality is refuted by V itself, not by U.
     problems = []
     v = corpus.named["V"]
     for law in BAIRE_SET_LAWS:
         if law.words is None:
             continue
         lhs, rhs = law.words
-        refuted, skipped = law_violations((law,), [(v,)], ON_U)
+        refuted, skipped = law_violations((law,), [(v,)], ())
         if skipped:
             problems.append(f"{lhs}V = {rhs}V is undecidable")
         elif not refuted:
@@ -595,10 +553,11 @@ PRINTED_REFUTATIONS = (("fkik", "fki", "{0} u {2}", "{0} u {1}"),
 def check_rule_validation(checks, corpus, params):
     rules = tuple(dict.fromkeys(BASE.rules + PB.rules))  # each rule of the two tables once
     problems = []
-    for pb_tier, inputs in zip((False, True), _corpus_inputs(corpus)):
+    for pb_tier, named in zip((False, True), _named_inputs(corpus)):
         laws = [identity_law(r.lhs, r.rhs, f"rule {r.lhs} -> {r.rhs} refuted")
                 for r in rules if (r.tier == "PB") == pb_tier]
-        problems += law_violations(laws, inputs, ON_U)[0]
+        random = ((tame(s),) for s in corpus.random)
+        problems += law_violations(laws, named + [random], ON_U)[0]
 
     # The printed transposed forms must fail, with the documented images.
     doc = corpus_mod.parse_set_dsl(DOCUMENTED_REFUTATION, params)

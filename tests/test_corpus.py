@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topomonoid import corpus as corpus_mod
 from topomonoid.corpus import WITNESS_NAMES, build_corpus, parse_set_dsl, random_tame, witness
-from topomonoid.realsets import interval, render
+from topomonoid.realsets import Cell, TameSet, interval, render
 from topomonoid.vitali import SymbolicSet, render_symbolic
 from topomonoid.words import ParseError
 
@@ -135,6 +137,36 @@ def test_random_tame_deterministic():
     assert len(distinct) > 90
 
 
+def _set_based_random_tame(seed, n):
+    """random_tame with its draws de-duplicated through a set of Fractions."""
+    rng = random.Random(f"tame:{seed}:{n}")
+    k = rng.randint(1, n)
+    points = sorted({corpus_mod._grid_value(rng) for _ in range(2 * k)})
+    cells = []
+    for j in range(0, len(points) - 1, 2 if rng.random() < 0.5 else 1):
+        if len(cells) >= k:
+            break
+        lo, hi = points[j], points[j + 1]
+        roll = rng.random()
+        if roll < 0.12:
+            cells.append(Cell(lo, lo, True, True, "full"))
+        elif roll < 0.55:
+            cells.append(Cell(lo, hi, rng.random() < 0.5, rng.random() < 0.5, "full"))
+        elif roll < 0.8:
+            cells.append(Cell(lo, hi, False, False, "rationals"))
+        else:
+            cells.append(Cell(lo, hi, False, False, "irrationals"))
+    if not cells:
+        cells.append(Cell(points[0], points[0], True, True, "full"))
+    return TameSet.from_cells(cells)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_random_tame_matches_the_set_based_draw(n):
+    for seed in range(1500):
+        assert random_tame(seed, n) == _set_based_random_tame(seed, n), seed
+
+
 def test_random_tame_cell_bound():
     for seed in range(200):
         assert len(random_tame(seed, 4).cells) <= 4
@@ -151,7 +183,7 @@ def test_build_corpus_contents():
     corpus = build_corpus(size=12, seed=0)
     assert set(corpus.named) == set(WITNESS_NAMES)
     assert len(corpus.random) == 12
-    assert len(corpus.all_sets()) == 18
+    assert len(corpus.named) + len(corpus.random) == 18
 
 
 def test_random_sets_are_built_on_first_access_and_kept(monkeypatch):

@@ -37,6 +37,11 @@ def _checks(run, *args):
     return {c.id: c for c in checks}
 
 
+def _all_sets(corpus):
+    """The named corpus sets, then the random ones, as SymbolicSets."""
+    return list(corpus.named.values()) + [tame(s) for s in corpus.random]
+
+
 def _property_suites():
     return _checks(verify.check_property_suites, CORPUS)
 
@@ -124,7 +129,7 @@ def test_5b_fails_on_a_false_baire_equality(monkeypatch):
     checks = _property_suites()
     check = checks["5b-baire-equalities"]
     assert check.status == "fail"
-    first = _first_set_where_words_differ("k", "i", CORPUS.all_sets())
+    first = _first_set_where_words_differ("k", "i", _all_sets(CORPUS))
     assert f"k != i on {first}" in check.details
     assert checks["5c-baire-failures-on-vitali"].status == "pass"
 
@@ -139,12 +144,21 @@ def test_5c_fails_on_an_equality_that_holds_on_v(monkeypatch):
     assert check.details == "kkV unexpectedly equals kV"
 
 
+def test_5c_is_not_passed_by_a_refutation_on_u(monkeypatch):
+    # The law is false on U but true on V: only V may refute it in 5c.
+    law = verify.Law("x != y", lambda s: not s.is_tame(), ("x", "y"))
+    monkeypatch.setattr(verify, "BAIRE_SET_LAWS", (law,))
+    check = _property_suites()["5c-baire-failures-on-vitali"]
+    assert check.status == "fail"
+    assert check.details == "xV unexpectedly equals yV"
+
+
 def test_6_fails_on_a_false_rule(monkeypatch):
     bad = RewriteRule("k", "i", "BASE", "false rule under test", "derived")
     monkeypatch.setattr(verify, "PB", AxiomSystem("PB+bad", PB.rules + (bad,)))
     check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
     assert check.status == "fail"
-    first = _first_set_where_words_differ("k", "i", CORPUS.all_sets())
+    first = _first_set_where_words_differ("k", "i", _all_sets(CORPUS))
     assert check.details == f"rule k -> i refuted on {first}"
 
 
@@ -154,7 +168,7 @@ def test_6_fails_on_a_false_rule_only_in_base(monkeypatch):
     monkeypatch.setattr(verify, "BASE", AxiomSystem("BASE+bad", BASE.rules + (bad,)))
     check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
     assert check.status == "fail"
-    first = _first_set_where_words_differ("dcd", "d", CORPUS.all_sets())
+    first = _first_set_where_words_differ("dcd", "d", _all_sets(CORPUS))
     assert check.details == f"rule dcd -> d refuted on {first}"
 
 
@@ -177,7 +191,7 @@ def test_6_every_rule_holds_on_a_corpus_with_instances_checked():
     corpus = build_corpus(size=80, seed=3)
     check = _checks(verify.check_rule_validation, corpus, DEFAULT_PARAMS)["6-rule-validation"]
     assert check.status == "pass", check.details
-    sets = corpus.all_sets()
+    sets = _all_sets(corpus)
     bp_sets = [s for s in sets if has_baire_property(s) is True]
     for rule in dict.fromkeys(BASE.rules + PB.rules):
         on = bp_sets if rule.tier == "PB" else sets
@@ -186,7 +200,7 @@ def test_6_every_rule_holds_on_a_corpus_with_instances_checked():
 
 def test_6_printed_transposed_forms_are_refuted_on_the_documented_witness():
     doc = parse_set_dsl(verify.DOCUMENTED_REFUTATION)
-    sets = [doc] + build_corpus(size=10, seed=4).all_sets()
+    sets = [doc] + _all_sets(build_corpus(size=10, seed=4))
     for lhs, rhs in (("fkik", "fki"), ("fiki", "fik")):
         assert _identity_violations(lhs, rhs, sets) == (
             [f"{lhs} = {rhs} fails on (0,1) u Q(1,2)"], 0)
@@ -195,7 +209,7 @@ def test_6_printed_transposed_forms_are_refuted_on_the_documented_witness():
 
 
 def test_6_trivial_involution_holds():
-    sets = build_corpus(size=15, seed=6).all_sets()
+    sets = _all_sets(build_corpus(size=15, seed=6))
     assert _identity_violations("cc", "", sets) == ([], 0)
 
 
@@ -203,7 +217,7 @@ def test_6_checks_pb_rules_only_on_baire_property_sets():
     # dc = cid needs the Baire property: V refutes it, yet 6 passes on a
     # corpus that holds V.
     v = CORPUS.named["V"]
-    assert v in CORPUS.all_sets() and has_baire_property(v) is not True
+    assert v in _all_sets(CORPUS) and has_baire_property(v) is not True
     assert _identity_violations("dc", "cid", [v])[0]
     check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
     assert check.status == "pass", check.details
@@ -429,7 +443,7 @@ def test_laws_on_witnesses_match_the_set_by_set_oracle(seed):
     assert verify.d_law_violations(sets) == expected
     if seed == 1729:
         assert expected == ([], 2)
-    bp_sets = [s for s in corpus.all_sets() if has_baire_property(s) is True]
+    bp_sets = [s for s in _all_sets(corpus) if has_baire_property(s) is True]
     assert (verify.law_violations(verify.BAIRE_SET_LAWS, [(s,) for s in bp_sets], verify.ON_U)
             == _oracle_baire_law_violations(bp_sets))
 
@@ -491,7 +505,7 @@ def test_an_empty_witness_leaves_every_input_to_be_evaluated():
         calls.append(s)
         return True
 
-    inputs = [verify._random_block(CORPUS.random), (CORPUS.named["V"],)]
+    inputs = [((tame(s),) for s in CORPUS.random), (CORPUS.named["V"],)]
     laws = (verify.Law("(x) fails", law),)
     assert verify.first_failures(laws, inputs, ()) == ([None], 0)
     assert calls == [tame(s) for s in CORPUS.random] + [CORPUS.named["V"]]
@@ -517,22 +531,32 @@ def _undecidable_on_u(s):
     ((), lambda s: True),
 ], ids=["clean", "false-on-witness", "undecidable-on-witness", "empty-witness"])
 def test_a_block_decides_as_its_inputs_do_one_by_one(witness, holds):
-    # Beside the law of each case, one law that holds everywhere and one
-    # that fails on U and on a random set late in the block, where the walk
-    # of the block stops unless the law of the case is still open.
+    # The random sets come once as one iterator and once as explicit
+    # tuples.  Beside the law of each case, one law that holds everywhere
+    # and one that fails on U and on a random set late in the corpus, where
+    # the iterator is no longer pulled unless the law of the case is open.
     late = tame(CORPUS.random[12])
-    outcomes = []
-    for block in (True, False):
-        calls = []
+    named = [(CORPUS.named["A18"],), (V,), (CV,)]
+    outcomes, pulled = [], []
+
+    def pull():
+        for s in CORPUS.random:
+            pulled.append((tame(s),))
+            yield pulled[-1]
+
+    for random in ([pull()], [(tame(s),) for s in CORPUS.random]):
+        calls, prepared = [], []
         laws = (_logging_law("x", calls, holds),
                 _logging_law("true", calls, lambda s: True),
                 _logging_law("late", calls, lambda s: s not in (verify.ON_U[0], late)))
-        random = ([verify._random_block(CORPUS.random)] if block else
-                  [(verify.RandomInput(CORPUS.random, j),) for j in range(len(CORPUS.random))])
-        inputs = [(CORPUS.named["A18"],), (V,)] + random + [(CV,)]
-        outcomes.append((verify.first_failures(laws, inputs, witness), calls))
+        inputs = named[:2] + random + named[2:]
+        first = verify.first_failures(laws, inputs, witness,
+                                      lambda *sets: prepared.append(sets) or sets)
+        outcomes.append((first, calls, prepared))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0][0][2] == late
+    # Each input pulled from the iterator was evaluated, in order.
+    assert pulled and pulled == [s for s in prepared if s not in (witness, *named)]
 
 
 def test_a_law_false_on_its_witness_fails_there_when_no_input_fails_it():
@@ -562,12 +586,11 @@ def test_a_law_undecidable_on_its_witness_is_a_skip_when_no_input_fails_it():
 def test_a_passing_run_makes_at_most_two_random_inputs(monkeypatch, size):
     made = []
 
-    class CountingRandomInput(verify.RandomInput):
-        def __new__(cls, *args):
-            made.append(args[1])
-            return super().__new__(cls, *args)
+    def counting(seed, n=4):
+        made.append(seed)
+        return random_tame(seed, n)
 
-    monkeypatch.setattr(verify, "RandomInput", CountingRandomInput)
+    monkeypatch.setattr(corpus_mod, "random_tame", counting)
     assert verify.run_verify(size, 1729).ok
     assert len(made) <= 2
 
@@ -617,7 +640,7 @@ def test_an_identity_does_not_remember_plus_or_minus_v_inputs():
 
 
 def test_an_identity_decides_tame_inputs_on_the_universal_witness(monkeypatch):
-    sets = build_corpus(300, seed=4100).all_sets()
+    sets = _all_sets(build_corpus(300, seed=4100))
     v_mode = [s for s in sets if not s.is_tame()]
     assert v_mode and len(v_mode) < len(sets)
     evaluated = []
@@ -639,7 +662,7 @@ def test_an_identity_decides_tame_inputs_on_the_universal_witness(monkeypatch):
 
 
 def test_an_identity_matches_the_set_by_set_check():
-    sets = build_corpus(200, seed=4200).all_sets()
+    sets = _all_sets(build_corpus(200, seed=4200))
     sets += [tame(point(Fraction(17, 2))), tame(point(3)),
              minus_v(union(interval(8, 9), point(Fraction(19, 2))))]
     pairs = [("kikik", "kik"), ("fkik", "fik"), ("fkik", "fki"), ("k", "i"),
