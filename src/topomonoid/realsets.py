@@ -43,21 +43,24 @@ that survive, and the breakpoint values merely ride along
 
 Shapes are interned (hash-consing): each distinct shape is one _Shape
 node, made once through the table _SHAPES, and a node holds its moves,
-letter -> (keep, next node), each computed on first use.  A TameSet keeps
-the node of its shape once it has been walked, and an image is built with
-its node, so `apply_word` hashes a shape at most once per fresh set and
-then follows one move per letter: no Fraction, and no shape tuple, is
-hashed or compared on the way.  `apply_word` is the one entry into the
-graph: it composes the keep maps and builds one TameSet at the end, and
-each of the five operators is `apply_word` on its one-letter word.  Every
-node carries the epoch it was interned in, and a set's node counts only
-while that epoch is current.  `_reset_shapes` starts a new epoch with an
-empty table, so a reset is exact: a walk starts only at a node of the
-current epoch, and a move leads only to a node of its own epoch (the table
-is reset, when it reaches 262,144 shapes, before a walk and never during
-one), so moves computed before a reset (say, under a patched _SHAPE_OPS)
-are never followed again, even from nodes that long-lived sets such as U
-still hold.
+letter -> (keep, next node), each computed on first use.  The constants 0
+and 1 are moves too, to the empty or the full shape with no breakpoint
+kept.  A TameSet keeps the node of its shape once it has been walked, and
+an image is built with its node, so `apply_word` hashes a shape at most
+once per fresh set and then follows one move per letter: no Fraction, and
+no shape tuple, is hashed or compared on the way.  `_walk` is that loop:
+from a node it follows the word's moves and composes their keep maps, and
+`apply_word` selects the image's breakpoints once, at the end; each of the
+five operators is `apply_word` on its one-letter word.  vitali walks the
+same graph from the refined shape of a plusV or minusV set, a node of the
+same table under a longer key.  Every node carries the epoch it was
+interned in, and a node starts a walk only while that epoch is current
+(_current).  `_reset_shapes` starts a new epoch with an empty table, so a
+reset is exact: a walk starts only at a node of the current epoch, and a
+move leads only to a node of its own epoch (the table is reset, when it
+reaches 262,144 shapes, before a walk and never during one), so moves
+computed before a reset (say, under a patched _SHAPE_OPS) are never
+followed again, even from nodes that long-lived sets such as U still hold.
 
 Universal witness.  By the lemma, the image of a set under a word over
 kicdf01 has, on each gap, a trace that depends only on the gap's trace,
@@ -107,7 +110,8 @@ walk also says what a minus b is when it is small: a gap failing _LE is an
 interval or a dense trace of the difference, and with every gap passing
 the difference is exactly the breakpoints failing _IMPLIES.  So
 `difference_points` answers "is a minus b empty, one point or more?" from
-that walk alone, with no complement and no minimized profile.  `contains`
+that walk alone, with no complement and no minimized profile, and the
+walk stops at the first gap failing _LE.  `contains`
 bisects the breakpoints.  `from_cells` sorts the cells' endpoints once,
 hashing no Fraction, and fills traces and memberships by index.  A
 TameSet computes its hash on first use, so short-lived intermediate
@@ -383,7 +387,7 @@ def point(x) -> TameSet:
 # -- profile combinators -------------------------------------------------
 
 
-def _merge(a: TameSet, b: TameSet, gap_op, pt_op):
+def _merge(a: TameSet, b: TameSet, gap_op, pt_op, stop=None):
     """(breaks, gaps, pts): a and b combined entrywise through the trace
     table gap_op and the membership table pt_op on their merged breakpoints,
     unminimized.
@@ -391,19 +395,25 @@ def _merge(a: TameSet, b: TameSet, gap_op, pt_op):
     One linear walk of the two strictly increasing tuples: each pair of
     breakpoints is compared once for equality and at most once for order.
     A breakpoint missing from one side takes that side's natural membership
-    in the gap around it.
+    in the gap around it.  A gap whose entry is `stop` ends the walk there,
+    and _merge returns None (stop=False: the first gap an inclusion fails).
     """
     xs, ys = a.breaks, b.breaks
     gx, px, gy, py = a.gaps, a.pts, b.gaps, b.pts
     if xs is ys:
-        return (xs, [gap_op[g][h] for g, h in zip(gx, gy)],
-                [pt_op[p][q] for p, q in zip(px, py)])
+        gaps = [gap_op[g][h] for g, h in zip(gx, gy)]
+        if stop is not None and stop in gaps:
+            return None
+        return xs, gaps, [pt_op[p][q] for p, q in zip(px, py)]
     breaks, gaps, pts = [], [], []
     i = j = 0
     nx, ny = len(xs), len(ys)
     while i < nx or j < ny:
         g, h = gx[i], gy[j]
-        gaps.append(gap_op[g][h])
+        gap = gap_op[g][h]
+        if gap is stop:
+            return None
+        gaps.append(gap)
         if i < nx and j < ny and (xs[i] is ys[j] or xs[i] == ys[j]):
             breaks.append(xs[i])
             pts.append(pt_op[px[i]][py[j]])
@@ -417,7 +427,10 @@ def _merge(a: TameSet, b: TameSet, gap_op, pt_op):
             breaks.append(ys[j])
             pts.append(pt_op[_NATURAL[g]][py[j]])
             j += 1
-    gaps.append(gap_op[gx[nx]][gy[ny]])
+    gap = gap_op[gx[nx]][gy[ny]]
+    if gap is stop:
+        return None
+    gaps.append(gap)
     return breaks, gaps, pts
 
 
@@ -436,13 +449,15 @@ def difference(a: TameSet, b: TameSet) -> TameSet:
 def difference_points(a: TameSet, b: TameSet) -> tuple | None:
     """a minus b when it is a finite set of breakpoints, else None.
 
-    One inclusion walk: a gap whose traces fail _LE leaves an interval or a
-    dense trace of a outside b (None); otherwise a minus b is the
-    breakpoints whose memberships fail _IMPLIES, () when a is a subset of b.
+    One inclusion walk: the first gap whose traces fail _LE leaves an
+    interval or a dense trace of a outside b, and ends the walk (None);
+    otherwise a minus b is the breakpoints whose memberships fail _IMPLIES,
+    () when a is a subset of b.
     """
-    breaks, gaps, pts = _merge(a, b, _LE, _IMPLIES)
-    if not all(gaps):
+    merged = _merge(a, b, _LE, _IMPLIES, stop=False)
+    if merged is None:
         return None
+    breaks, _, pts = merged
     if all(pts):
         return ()
     return tuple(x for x, p in zip(breaks, pts) if not p)
@@ -485,24 +500,34 @@ def _frontier_shape(gs, ps):
              for j, p in enumerate(ps)])
 
 
+def _empty_shape(gs, ps):
+    return [NONE] * len(gs), [False] * len(ps)
+
+
+def _reals_shape(gs, ps):
+    return [FULL] * len(gs), [True] * len(ps)
+
+
 _SHAPE_OPS = {
     "k": _closure_shape,
     "i": _interior_shape,
     "c": _complement_shape,
     "d": _second_category_shape,
     "f": _frontier_shape,
+    "0": _empty_shape,
+    "1": _reals_shape,
 }
 
 
 class _Shape:
     """One interned shape (gaps, pts), with the letters already walked from it.
 
-    `moves` maps an operator letter to (keep, next): keep is the indices of
-    the breakpoints that survive in the letter's minimal image (None when all
+    `moves` maps a letter to (keep, next): keep is the indices of the
+    breakpoints that survive in the letter's minimal image (None when all
     of them do), and next is the node of the image's shape.  A move is
-    computed once, on first use, from _SHAPE_OPS and _minimize.  `epoch` is
-    the epoch the node was interned in; a node is used only while that epoch
-    is current (see _reset_shapes).
+    computed once, on first use, by minimizing `image`.  `epoch` is the
+    epoch the node was interned in; a node starts a walk only while that
+    epoch is current (see _current).
     """
 
     __slots__ = ("gaps", "pts", "epoch", "moves")
@@ -513,33 +538,48 @@ class _Shape:
         self.epoch = _epoch
         self.moves = {}
 
-    def move(self, letter: str):
+    def image(self, letter: str):
+        """The unminimized shape of the letter's image, by _SHAPE_OPS."""
         op = _SHAPE_OPS.get(letter)
         if op is None:
             raise ValueError(f"unknown operator letter {letter!r}")
-        keep, gaps, pts = _minimize(*op(self.gaps, self.pts))
+        return op(self.gaps, self.pts)
+
+    def move(self, letter: str):
+        keep, gaps, pts = _minimize(*self.image(letter))
         move = self.moves[letter] = (None if len(keep) == len(self.pts) else keep,
-                                     _intern(gaps, pts))
+                                     _intern((gaps, pts)))
         return move
 
 
 _epoch = 0
-_SHAPES: dict[tuple[tuple[int, ...], tuple[bool, ...]], _Shape] = {}
+_SHAPES: dict[tuple, _Shape] = {}
 
 
-def _intern(gaps: tuple[int, ...], pts: tuple[bool, ...]) -> _Shape:
-    node = _SHAPES.get((gaps, pts))
+def _intern(key: tuple, cls=_Shape) -> _Shape:
+    """The node of key, made as cls(*key) on first use: (gaps, pts) for a
+    plain shape; vitali's refined shapes have longer keys."""
+    node = _SHAPES.get(key)
     if node is None:
-        node = _SHAPES[gaps, pts] = _Shape(gaps, pts)
+        node = _SHAPES[key] = cls(*key)
     return node
 
 
+def _current(node: _Shape | None) -> bool:
+    """Whether a walk may start at node now: it was interned in the current
+    epoch.  A full table (262,144 shapes) is reset here first, so a reset
+    comes before a walk and never during one."""
+    if len(_SHAPES) >= 262144:
+        _reset_shapes()
+    return node is not None and node.epoch == _epoch
+
+
 def _shape_of(s: TameSet) -> _Shape:
-    """The current node of s's shape, interned on the first walk of s (and
+    """The node a walk of s starts at, interned on the first walk of s (and
     on the first walk after a reset)."""
     node = s._shape
-    if node is None or node.epoch != _epoch:
-        node = s._shape = _intern(s.gaps, s.pts)
+    if not _current(node):
+        node = s._shape = _intern((s.gaps, s.pts))
     return node
 
 
@@ -551,6 +591,26 @@ def _reset_shapes() -> None:
     global _epoch
     _epoch += 1
     _SHAPES.clear()
+
+
+def _walk(word: str, node: _Shape):
+    """(keep, node) of the walk of word, right to left, from node: one move
+    per letter, the keep maps composed (None while every breakpoint of the
+    start survives)."""
+    keep = None
+    for ch in reversed(word):
+        step, node = node.moves.get(ch) or node.move(ch)
+        if step is not None:
+            keep = step if keep is None else tuple(keep[j] for j in step)
+    return keep, node
+
+
+def _select(breaks: tuple, keep, node: _Shape) -> TameSet:
+    """The set of shape node on the breakpoints breaks[j], j in keep (all of
+    breaks when keep is None)."""
+    if keep is not None:
+        breaks = tuple(breaks[j] for j in keep)
+    return TameSet(breaks, node.gaps, node.pts, True, node)
 
 
 def closure(s: TameSet) -> TameSet:
@@ -591,33 +651,14 @@ def frontier(s: TameSet) -> TameSet:
 def apply_word(word: str, s: TameSet) -> TameSet:
     """Right-to-left image of s under a word over kicdf01, on the shape alone.
 
-    Each letter follows one move of the interned shape graph; the keep maps
-    compose, and the image's breakpoints are selected from those of s (or of
-    the last constant) once, at the end.  The image carries the node of its
+    One _walk from the node of s; the image's breakpoints are selected from
+    those of s once, at the end, and the image carries the node of its
     shape.  Returns s itself when the word leaves its shape unchanged.
     """
-    if len(_SHAPES) >= 262144:
-        _reset_shapes()
-    start = s
-    node = start_node = _shape_of(s)
-    keep = None  # None: every breakpoint of start survives
-    for ch in reversed(word):
-        move = node.moves.get(ch)
-        if move is None:
-            if ch == "0" or ch == "1":
-                start = EMPTY if ch == "0" else REALS
-                node = start_node = _shape_of(start)
-                keep = None
-                continue
-            move = node.move(ch)
-        step, node = move
-        if step is not None:
-            keep = step if keep is None else tuple(keep[j] for j in step)
-    if keep is None:
-        if node is start_node:
-            return start
-        return TameSet(start.breaks, node.gaps, node.pts, True, node)
-    return TameSet(tuple(start.breaks[j] for j in keep), node.gaps, node.pts, True, node)
+    keep, node = _walk(word, _shape_of(s))
+    if keep is None and node is s._shape:
+        return s
+    return _select(s.breaks, keep, node)
 
 
 # -- rendering ------------------------------------------------------------

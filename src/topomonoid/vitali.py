@@ -43,19 +43,50 @@ which is closed under k, i, c, d, f:
     *complement* of a plusV base inside W1.
   * f(S) = k(S) & k(cS), always tame because k-images are tame.
 
-apply_word folds a word right to left.  While the image is plusV or
-minusV, each letter goes through sym_apply behind a value cache keyed on
-(letter, SymbolicSet).  That prefix is at most a run of c's plus one more
-letter, because k, d, f and i = ckc always give a tame image, and it is
-the only place Undecidable can arise; k, d and f on a plusV set merge
-breakpoints with kW1 or kW0, which the cache spares the words applied to
-one set.  From the first tame image on, the rest of the word is one
-realsets.apply_word walk on the profile's shape, one move of the interned
-shape graph per letter.  That walk is exact: sym_apply on tame(B) is tame
-of the realsets operator on B, and by the locality lemma (see realsets)
-composing the moves and their keep maps gives the very profile the
-letter-by-letter fold builds.  Tame steps therefore never reach the value
-cache.
+Evaluation is one walk of realsets' interned shape graph, one move per
+letter (realsets._walk).  A tame set walks from the node of its base.  A
+plusV or minusV set walks from its refined shape:
+
+  * The frame of the parameters is the sorted breakpoints of W0, W1, kW0
+    and kW1, with a label on each frame gap and each frame point: which of
+    W1, kW1 and kW0 hold it.  W0 and W1 are open, so each of the four
+    sets is all or nothing on a frame gap, a gap's label holds for every
+    point inside it, and on a gap W0 is kW0; W0 at a point decides no
+    letter, so it is not recorded.
+  * The refined profile of a set is its base's profile on the union of
+    the base's and the frame's breakpoints, unminimized, each gap and
+    point labelled by the frame.  It is made once, by one merge, and the
+    set keeps it (SymbolicSet._refined); its shape, labels and mode are
+    one interned node (_VShape) in realsets' table, so the epoch,
+    realsets._reset_shapes and the table's bound cover it too.
+
+On the refined profile every letter is local, as realsets' operators are
+on a plain profile (its locality lemma): the image's trace on a gap reads
+only the gap's base trace and label, and its membership at a point only
+the point's base triple and label.  By the bullets above:
+
+  * k on plusV is the base's k, joined entrywise with kW1 by the labels,
+    and d is the base's d joined with kW0;
+  * k on minusV is the base's k, except at a point whose base triple is
+    (NONE, member, NONE) and whose label is inside W1.  Such a point is
+    exactly an isolated point of the minimal base inside W1: minimization
+    keeps a member point with empty gaps on both sides, and the gaps
+    beside a kept point keep their traces.  The move raises an index into
+    the refined breakpoints, and apply_word names the point, so k is
+    undecidable exactly where the k bullet says;
+  * d on minusV is the base's d;
+  * c complements the base entrywise and flips the mode, with the labels
+    kept, so its image is again a refined node: it never collapses, by
+    the c bullet;
+  * i = ckc, and f = k & kc entrywise, both on the same breakpoints.
+
+A tame image is minimized into a plain realsets node, whose keep indices
+point into the refined breakpoints, and the walk goes on there.  So the
+letters applied while the image is plusV or minusV are a run of c's and
+one more letter, the only one that can be undecidable.  That walk is
+exact: each move gives, up to minimization, the profile the case analysis
+above gives letter by letter, and by the locality lemma composing the
+moves and their keep maps gives the very profile the fold builds.
 
 A subset test A in B is the three-valued AND of an off-V question and an
 on-V question.  Off V every mode equals its base, so the off-V question is
@@ -105,10 +136,11 @@ the union's "tame part partly meets W1" raise asks the same two questions
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect_left
+from fractions import Fraction
 
 from . import realsets
-from .realsets import TameSet, closure, complement, intersect, second_category, union
+from .realsets import TameSet, closure, complement, intersect, union
 from .words import CONSTANTS, LETTERS, render_word
 
 
@@ -116,19 +148,41 @@ class Undecidable(Exception):
     """The axioms of the Vitali atom do not determine the answer."""
 
 
+# Frame labels: the bits of the frame sets that hold a gap or a point.
+_W1, _KW1, _KW0 = 1, 2, 4
+
+
+def _frame(w0: TameSet, w1: TameSet, kw0: TameSet, kw1: TameSet):
+    """(breaks, gap labels, point labels) of the frame (module docstring).
+
+    W0 and W1 are open, so each of the four sets is FULL or NONE on a frame
+    gap, and the gap is labelled by one rational inside it."""
+    breaks = sorted({*w0.breaks, *w1.breaks, *kw0.breaks, *kw1.breaks})
+    inside = ([breaks[0] - 1, *((x + y) / 2 for x, y in zip(breaks, breaks[1:])),
+               breaks[-1] + 1] if breaks else [Fraction(0)])
+
+    def label(x):
+        return ((_W1 if w1.contains(x) else 0) | (_KW1 if kw1.contains(x) else 0)
+                | (_KW0 if kw0.contains(x) else 0))
+
+    return tuple(breaks), tuple(map(label, inside)), tuple(map(label, breaks))
+
+
 class VitaliParams:
     """Session parameters of the atom: open W0 subset of W1, W0 nonempty.
 
     Immutable by convention, like TameSet; equal when every field is equal.
+    `frame` is derived from the four sets (module docstring).
     """
 
-    __slots__ = ("w0", "w1", "kw0", "kw1", "_hash")
+    __slots__ = ("w0", "w1", "kw0", "kw1", "frame", "_hash")
 
     def __init__(self, w0: TameSet, w1: TameSet, kw0: TameSet, kw1: TameSet):
         self.w0 = w0
         self.w1 = w1
         self.kw0 = kw0
         self.kw1 = kw1
+        self.frame = _frame(w0, w1, kw0, kw1)
         self._hash = hash((w0, w1, kw0, kw1))
 
     def __eq__(self, other):
@@ -165,15 +219,18 @@ MODE_MINUS = "minusV"
 
 class SymbolicSet:
     """tame(base), plusV(base) or minusV(base); immutable by convention, like
-    TameSet, and equal when base, mode and params are equal."""
+    TameSet, and equal when base, mode and params are equal.  The refined
+    profile that a plusV or minusV set keeps is ignored by equality and
+    hashing, as TameSet ignores its shape node."""
 
-    __slots__ = ("base", "mode", "params")
+    __slots__ = ("base", "mode", "params", "_refined")
 
     def __init__(self, base: TameSet, mode: str = MODE_TAME,
                  params: VitaliParams | None = None):
         self.base = base
         self.mode = mode
         self.params = params
+        self._refined = None  # (breaks, node) of the refined profile, see _refinement
 
     def __eq__(self, other):
         if other.__class__ is not SymbolicSet:
@@ -224,67 +281,171 @@ def _params_of(*sets: SymbolicSet) -> VitaliParams:
 # -- operator action -------------------------------------------------------
 
 
-def _check_k_decidable(base: TameSet, params: VitaliParams) -> None:
-    for p in base.isolated_points():
-        if params.w1.contains(p):
-            raise Undecidable(
-                f"isolated point {p} lies inside W1: membership in V is not "
-                f"determined by the atom's axioms")
+def _refine(base: TameSet, frame):
+    """(breaks, gaps, pts, gap labels, point labels): the profile of base on
+    its breakpoints and the frame's, unminimized, with the frame label of
+    every gap and point.  Each frame point is placed by one bisection of
+    base's breakpoints; a point inside a frame gap takes the gap's label."""
+    fb, fgap, fpt = frame
+    xs, gs, ps = base.breaks, base.gaps, base.pts
+    breaks, pts, pt_w, gaps, gap_w = [], [], [], [gs[0]], [fgap[0]]
+    i = 0
+    for j in range(len(fb) + 1):
+        # Base points i..hi-1 lie inside frame gap j.
+        hi = bisect_left(xs, fb[j], i) if j < len(fb) else len(xs)
+        breaks += xs[i:hi]
+        pts += ps[i:hi]
+        gaps += gs[i + 1:hi + 1]
+        pt_w += [fgap[j]] * (hi - i)
+        gap_w += [fgap[j]] * (hi - i)
+        i = hi
+        if j == len(fb):
+            break
+        x = fb[j]
+        if i < len(xs) and xs[i] == x:
+            pts.append(ps[i])
+            i += 1
+        else:
+            pts.append(realsets._NATURAL[gs[i]])
+        breaks.append(x)
+        pt_w.append(fpt[j])
+        gaps.append(gs[i])
+        gap_w.append(fgap[j + 1])
+    return tuple(breaks), tuple(gaps), tuple(pts), tuple(gap_w), tuple(pt_w)
+
+
+class _Stuck(Exception):
+    """k met an isolated member point inside W1 at `index` of the refined
+    profile: whether it is V's rational point is undecidable."""
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index
+
+
+class _VShape(realsets._Shape):
+    """One interned refined shape of a plusV or minusV set (module docstring):
+    the base's traces and memberships on the refined profile, their frame
+    labels and the mode.  c moves to the node of the other mode; every other
+    letter moves to a plain realsets node, whose keep indices point into the
+    refined breakpoints.  `minimal` is the base's own minimal shape."""
+
+    __slots__ = ("mode", "gap_w", "pt_w", "_minimal")
+
+    def __init__(self, mode, gaps, pts, gap_w, pt_w):
+        super().__init__(gaps, pts)
+        self.mode = mode
+        self.gap_w = gap_w
+        self.pt_w = pt_w
+        self._minimal = None
+
+    def key(self) -> tuple:
+        return self.mode, self.gaps, self.pts, self.gap_w, self.pt_w
+
+    def minimal(self):
+        """(keep, node) of the base's minimal shape, made on first use."""
+        if self._minimal is None:
+            keep, gaps, pts = realsets._minimize(self.gaps, self.pts)
+            self._minimal = (None if len(keep) == len(self.pts) else keep,
+                             realsets._intern((gaps, pts)))
+        return self._minimal
+
+    def move(self, letter: str):
+        if letter == "c":  # never collapses (module docstring)
+            gaps, pts = super().image("c")
+            mode = MODE_MINUS if self.mode == MODE_PLUS else MODE_PLUS
+            move = (None, realsets._intern(
+                (mode, tuple(gaps), tuple(pts), self.gap_w, self.pt_w), _VShape))
+        elif letter == "i":
+            move = realsets._walk("ckc", self)
+        else:
+            return super().move(letter)
+        self.moves[letter] = move
+        return move
+
+    def image(self, letter: str):
+        """The unminimized shape of the tame image under k, d or f (module
+        docstring); the constants as on a plain shape."""
+        if letter == "f":
+            _, c = self.moves.get("c") or self.move("c")
+            (kg, kp), (cg, cp) = self.image("k"), c.image("k")
+            return ([realsets._INTER[g][h] for g, h in zip(kg, cg)],
+                    [p and q for p, q in zip(kp, cp)])
+        if letter != "k" and letter != "d":
+            return super().image(letter)
+        gaps, pts = super().image(letter)
+        if self.mode == MODE_PLUS:  # k(B u V) = kB u kW1, d(B u V) = dB u kW0
+            bit = _KW1 if letter == "k" else _KW0
+            return ([realsets.FULL if w & bit else g for g, w in zip(gaps, self.gap_w)],
+                    [p or bool(w & bit) for p, w in zip(pts, self.pt_w)])
+        if letter == "k":  # k(B minus V) = kB, but for an isolated point inside W1
+            gs, ps, pw = self.gaps, self.pts, self.pt_w
+            for j in range(len(ps)):
+                if ps[j] and pw[j] & _W1 and gs[j] == gs[j + 1] == realsets.NONE:
+                    raise _Stuck(j)
+        return gaps, pts
+
+
+def _refinement(s: SymbolicSet):
+    """(breaks, node) of the refined profile of the plusV or minusV set s,
+    made on the first walk of s and interned again after a reset."""
+    refined = s._refined
+    if realsets._current(None if refined is None else refined[1]):
+        return refined
+    if refined is None:
+        breaks, *shape = _refine(s.base, s.params.frame)
+        key = (s.mode, *shape)
+    else:
+        breaks, key = refined[0], refined[1].key()
+    refined = s._refined = (breaks, realsets._intern(key, _VShape))
+    return refined
+
+
+def _apply(word: str, s: SymbolicSet) -> SymbolicSet:
+    """The image of s under word, by one walk of the interned shape graph;
+    Undecidable carries no position."""
+    if s.mode == MODE_TAME:
+        base = realsets.apply_word(word, s.base)
+        return s if base is s.base else tame(base)
+    breaks, start = _refinement(s)
+    try:
+        keep, node = realsets._walk(word, start)
+    except _Stuck as stuck:
+        raise Undecidable(
+            f"isolated point {breaks[stuck.index]} lies inside W1: membership in V "
+            f"is not determined by the atom's axioms") from None
+    if node is start:
+        return s
+    if node.__class__ is not _VShape:
+        return tame(realsets._select(breaks, keep, node))
+    img = SymbolicSet(realsets._select(breaks, *node.minimal()), node.mode, s.params)
+    img._refined = (breaks, node)
+    return img
 
 
 def sym_apply(letter: str, s: SymbolicSet) -> SymbolicSet:
+    """The image of s under one letter: apply_word on a one-letter word,
+    with no position in an Undecidable message."""
     if len(letter) != 1 or letter not in LETTERS + CONSTANTS:
         raise ValueError(f"unknown operator letter {letter!r}")
-    if s.mode == MODE_TAME or letter in CONSTANTS:  # constants are absolute
-        return tame(realsets.apply_word(letter, s.base))
-    params = s.params
-    if letter == "c":  # never collapses (module docstring)
-        mode = MODE_MINUS if s.mode == MODE_PLUS else MODE_PLUS
-        return SymbolicSet(complement(s.base), mode, params)
-    if letter == "k":
-        if s.mode == MODE_PLUS:
-            return tame(union(closure(s.base), params.kw1))
-        _check_k_decidable(s.base, params)
-        return tame(closure(s.base))
-    if letter == "d":
-        if s.mode == MODE_PLUS:
-            return tame(union(second_category(s.base), params.kw0))
-        return tame(second_category(s.base))
-    if letter == "i":
-        return sym_apply("c", sym_apply("k", sym_apply("c", s)))
-    # letter == "f": both closures are tame, so the frontier always is.
-    k_img = sym_apply("k", s)
-    kc_img = sym_apply("k", sym_apply("c", s))
-    return tame(intersect(k_img.base, kc_img.base))
-
-
-@lru_cache(maxsize=262144)
-def _cached_apply(letter: str, s: SymbolicSet) -> SymbolicSet:
-    return sym_apply(letter, s)
+    return _apply(letter, s)
 
 
 def apply_word(word: str, s: SymbolicSet) -> SymbolicSet:
-    """Right-to-left fold of sym_apply; constants 0 and 1 are absolute.
+    """Right-to-left image of s under word; constants 0 and 1 are absolute.
 
-    Letters applied to a plusV or minusV set go through the value cache.
-    From the first tame image on, the rest of the word is one
-    realsets.apply_word walk on the profile's shape.
+    One walk of the interned shape graph (module docstring).  An
+    Undecidable message names the letter: only a letter applied to a plusV
+    or minusV set can be undecidable, and such a set is s after a run of
+    c's, so the letter is the first one from the right that is not c.
     """
-    cur = s
-    pos = len(word) - 1
-    while pos >= 0 and cur.mode != MODE_TAME:
-        ch = word[pos]
-        try:
-            cur = _cached_apply(ch, cur)
-        except Undecidable as exc:
-            raise Undecidable(
-                f"{exc} [letter {ch!r} at position {pos + 1} of "
-                f"{render_word(word)!r}]") from None
-        pos -= 1
-    if pos < 0:
-        return cur
-    base = realsets.apply_word(word[:pos + 1], cur.base)
-    return cur if base is cur.base else tame(base)
+    try:
+        return _apply(word, s)
+    except Undecidable as exc:
+        pos = len(word.rstrip("c"))
+        raise Undecidable(
+            f"{exc} [letter {word[pos - 1]!r} at position {pos} of "
+            f"{render_word(word)!r}]") from None
 
 
 # -- three-valued V facts ---------------------------------------------------

@@ -204,6 +204,10 @@ def test_combinators_match_cell_normalization():
         for gap_op, pt_op in TABLE_PAIRS:
             merged = realsets._merge(a, b, gap_op, pt_op)[0]
             assert list(merged) == sorted(set(a.breaks) | set(b.breaks))
+        # The inclusion walk stops at its first failing gap, and only there.
+        full = realsets._merge(a, b, realsets._LE, realsets._IMPLIES)
+        stopped = realsets._merge(a, b, realsets._LE, realsets._IMPLIES, stop=False)
+        assert stopped == (full if all(full[1]) else None)
         assert union(a, b) == TameSet.from_cells(a.cells + b.cells)
         assert intersect(a, b) == complement(
             TameSet.from_cells(complement(a).cells + complement(b).cells))

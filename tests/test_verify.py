@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from topomonoid import corpus as corpus_mod
-from topomonoid import monoid, realsets, rewrite, verify, vitali
+from topomonoid import monoid, realsets, rewrite, verify
 from topomonoid.corpus import build_corpus, parse_set_dsl, random_tame, witness
 from topomonoid.realsets import UNIVERSAL, interval, point, union
 from topomonoid.rules import BASE, PB, AxiomSystem, RewriteRule
@@ -108,7 +108,6 @@ def _d_that_also_fills_rationals_gaps(gs, ps):
 
 def _clear_image_caches():
     realsets._reset_shapes()
-    vitali._cached_apply.cache_clear()
 
 
 def test_5a_fails_on_a_d_that_also_fills_rationals_gaps(monkeypatch):
@@ -582,7 +581,7 @@ def test_a_law_undecidable_on_its_witness_is_a_skip_when_no_input_fails_it():
                                  lambda s: (_undecidable_on_u(s) and s,)) == ([], 1)
 
 
-@pytest.mark.parametrize("size", [1000, 20_000])
+@pytest.mark.parametrize("size", [20_000])
 def test_a_passing_run_makes_at_most_two_random_inputs(monkeypatch, size):
     made = []
 

@@ -201,17 +201,20 @@ def test_params_and_symbolic_sets_are_values():
     assert plus_v(base, p) == plus_v(base, q)
     assert hash(plus_v(base, p)) == hash(plus_v(base, q))
     assert plus_v(base, p) != minus_v(base, p) and plus_v(base, p) != tame(base)
-    # A set on equal parameters reads the value cache's entry for the other.
+    # A set on equal parameters walks the node and the move interned for the other.
     apply_word("k", plus_v(base, p))
-    before = vitali._cached_apply.cache_info()
+    before = _interned_moves()
     assert apply_word("k", plus_v(base, q)) == tame(interval(0, 3, True, True))
-    after = vitali._cached_apply.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert _interned_moves() == before
     with pytest.raises(ValueError, match="mixed Vitali parameters"):
         sym_subset(plus_v(base, p), V)
     assert repr(plus_v(base, p)) == "SymbolicSet('Q(0,3) u V')"
     assert repr(minus_v(interval(8, 9))) == "SymbolicSet('(8,9) ∖ V')"
     assert repr(tame(base)) == "SymbolicSet('Q(0,3)')"
+
+
+def _interned_moves():
+    return len(realsets._SHAPES), sum(len(node.moves) for node in realsets._SHAPES.values())
 
 
 def test_empty_w0_is_rejected():
@@ -321,9 +324,9 @@ def _counting_realsets(monkeypatch, *names):
     for name in names:
         real = getattr(realsets, name)
 
-        def counting(*args, _name=name, _real=real):
+        def counting(*args, _name=name, _real=real, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(realsets, name, counting)
     return calls
@@ -426,25 +429,49 @@ def test_complement_of_a_plus_or_minus_v_set_never_collapses(params):
     assert modes == {"plusV", "minusV"}
 
 
-# -- apply_word against the uncached letter-by-letter fold ------------------------
+# -- apply_word against the letter-by-letter case analysis ------------------------
+
+
+def _sym_apply_by_cases(letter, s):
+    """sym_apply as the plusV/minusV case analysis the shape walk replaced."""
+    if s.is_tame() or letter in ("0", "1"):
+        return tame(realsets.apply_word(letter, s.base))
+    params = s.params
+    if letter == "c":
+        return vitali.SymbolicSet(realsets.complement(s.base),
+                                  "minusV" if s.mode == "plusV" else "plusV", params)
+    if letter == "k":
+        if s.mode == "plusV":
+            return tame(union(realsets.closure(s.base), params.kw1))
+        for p in s.base.isolated_points():
+            if params.w1.contains(p):
+                raise Undecidable(
+                    f"isolated point {p} lies inside W1: membership in V is not "
+                    f"determined by the atom's axioms")
+        return tame(realsets.closure(s.base))
+    if letter == "d":
+        if s.mode == "plusV":
+            return tame(union(realsets.second_category(s.base), params.kw0))
+        return tame(realsets.second_category(s.base))
+    if letter == "i":
+        return _sym_apply_by_cases("c", _sym_apply_by_cases("k", _sym_apply_by_cases("c", s)))
+    assert letter == "f"
+    k_img = _sym_apply_by_cases("k", s)
+    kc_img = _sym_apply_by_cases("k", _sym_apply_by_cases("c", s))
+    return tame(realsets.intersect(k_img.base, kc_img.base))
 
 
 def _fold(word, s):
-    """apply_word as a plain fold: sym_apply letter by letter, no cache, no walk."""
+    """apply_word as a plain fold of the case analysis, letter by letter, no walk."""
     cur = s
     for pos in range(len(word) - 1, -1, -1):
         ch = word[pos]
-        if ch == "0":
-            cur = tame(realsets.EMPTY)
-        elif ch == "1":
-            cur = tame(realsets.REALS)
-        else:
-            try:
-                cur = sym_apply(ch, cur)
-            except Undecidable as exc:
-                raise Undecidable(
-                    f"{exc} [letter {ch!r} at position {pos + 1} of "
-                    f"{render_word(word)!r}]") from None
+        try:
+            cur = _sym_apply_by_cases(ch, cur)
+        except Undecidable as exc:
+            raise Undecidable(
+                f"{exc} [letter {ch!r} at position {pos + 1} of "
+                f"{render_word(word)!r}]") from None
     return cur
 
 
@@ -464,14 +491,24 @@ def _every_adjacent_pair(lo, step):
 
 
 @pytest.mark.parametrize("params", [
-    vitali.DEFAULT_PARAMS, VitaliParams.make(interval(-2, -1), interval(-3, 5))],
-    ids=["default", "custom"])
+    vitali.DEFAULT_PARAMS, VitaliParams.make(interval(-2, -1), interval(-3, 5)),
+    VitaliParams.make(interval(8, 9), union(interval(8, 9), interval(9, 10))),
+    VitaliParams.make(interval(8, 10), interval(8, 10))],
+    ids=["default", "custom", "two-component-w1", "w0-equals-w1"])
 def test_apply_word_matches_the_uncached_fold(params):
     pool = _de_morgan_pool(params, 9300)
     pool += [tame(random_tame(9400 + j, 5)) for j in range(10)]
     lo, hi = params.w1.breaks[0], params.w1.breaks[-1]
-    for base in (_every_adjacent_pair(lo - 1, (hi - lo + 2) / 16),
-                 _every_adjacent_pair(hi + 1, Fraction(1, 2))):
+    bases = [_every_adjacent_pair(lo - 1, (hi - lo + 2) / 16),
+             _every_adjacent_pair(hi + 1, Fraction(1, 2))]
+    # Points at 8, 9 and 10, on the frame of three of the configurations, and
+    # isolated points at 19/2 and at 9 (in W1, or only in kW1).
+    bases += [union(union(point(8), point(9)), point(10)),
+              union(interval(8, 9, True, True), point(Fraction(19, 2))),
+              union(interval(8, Fraction(17, 2)), point(9)),
+              union(union(interval(8, 9), point(9)), interval(9, 10, density="irrationals")),
+              union(interval(Fraction(17, 2), 10, True, density="rationals"), point(9))]
+    for base in bases:
         pool += [tame(base), plus_v(base, params), minus_v(base, params)]
     rng = random.Random(11)
     # Constants are drawn rarely: one resets the walk, so most words keep none.
@@ -479,14 +516,13 @@ def test_apply_word_matches_the_uncached_fold(params):
              for n in range(11) for _ in range(15)]
     modes, undecidable = set(), 0
     for s in pool:
-        before = vitali._cached_apply.cache_info()
+        for ch in "kicdf01":
+            got = _image_or_text(lambda w, t: sym_apply(w, t), ch, s)
+            assert got == _image_or_text(_sym_apply_by_cases, ch, s), (ch, s)
         for w in words:
             got = _image_or_text(apply_word, w, s)
             assert got == _image_or_text(_fold, w, s), (w, s)
             undecidable += isinstance(got, str)
-        if s.is_tame():
-            # Tame steps walk the shape and never reach the value cache.
-            assert vitali._cached_apply.cache_info() == before, s
         modes.add(s.mode)
     assert modes == {"tame", "plusV", "minusV"}
     assert undecidable > 0
@@ -498,6 +534,30 @@ def test_apply_word_returns_an_unchanged_tame_input_itself():
     assert apply_word("kcc", s) is s
     assert apply_word("i", s) == tame(interval(0, 1))
     assert apply_word("k0", s) == tame(realsets.EMPTY)
+
+
+def test_a_reset_forgets_the_moves_of_plus_v_sets(monkeypatch):
+    base = union(interval(0, 1), interval(Fraction(17, 2), 9, density="rationals"))
+    s = plus_v(base)
+    original = apply_word("k", s)
+    assert render_symbolic(original) == "[0,1] u [8,10]"
+
+    def k_that_keeps_only_full_gaps(gs, ps):
+        return ([realsets.FULL if g == realsets.FULL else realsets.NONE for g in gs],
+                [p and gs[j] == gs[j + 1] == realsets.FULL for j, p in enumerate(ps)])
+
+    monkeypatch.setitem(realsets._SHAPE_OPS, "k", k_that_keeps_only_full_gaps)
+    realsets._reset_shapes()
+    try:
+        patched = [apply_word("k", s), apply_word("k", plus_v(base))]
+    finally:
+        monkeypatch.undo()
+        realsets._reset_shapes()
+    expected = union(realsets._from_profile(base.breaks, *k_that_keeps_only_full_gaps(
+        base.gaps, base.pts)), vitali.DEFAULT_PARAMS.kw1)
+    assert patched == [tame(expected)] * 2
+    assert render_symbolic(patched[0]) == "(0,1) u [8,10]"
+    assert apply_word("k", s) == original
 
 
 # -- distinguish groups its comparisons by the part outside kW1 -------------------
