@@ -14,6 +14,7 @@ also how the empty set renders.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections.abc import Sequence
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realsets
-from .realsets import Cell, TameSet
+from .realsets import FULL, IRRS, NONE, RATS, Cell, TameSet
 from .vitali import DEFAULT_PARAMS, SymbolicSet, VitaliParams, minus_v, plus_v, tame
 from .words import ParseError
 
@@ -93,11 +94,7 @@ def build_corpus(size: int = 1000, seed: int = 1729,
 
 _GRID_SPAN = 10   # endpoints in [-10, 10]
 _MAX_DEN = 8
-
-
-def _grid_value(rng: random.Random) -> Fraction:
-    den = rng.randint(1, _MAX_DEN)
-    return Fraction(rng.randint(-_GRID_SPAN * den, _GRID_SPAN * den), den)
+_KEY_SCALE = math.lcm(*range(1, _MAX_DEN + 1))
 
 
 def random_tame(seed: int, n: int = 4) -> TameSet:
@@ -106,30 +103,48 @@ def random_tame(seed: int, n: int = 4) -> TameSet:
     Cells are laid over consecutive points of a sorted draw so spans never
     properly overlap, but shared endpoints (touching cells, isolated points
     on trace boundaries) occur often enough to exercise the merge logic.
+
+    A drawn grid value num/den has den <= _MAX_DEN, which divides
+    _KEY_SCALE, so num * (_KEY_SCALE // den) is an exact integer key: the
+    draws are sorted and told apart by their keys, and a Fraction is made
+    only for a breakpoint of the result.  Consecutive points bound the
+    cells, so cell j writes the one gap trace gaps[j + 1] and the
+    memberships of its ends, and the profile over all drawn points is
+    minimized.  The rng is called as when each grid value was a Fraction
+    and each cell a Cell, so a seed gives the same set as it always did.
     """
     if n < 1:
         raise ValueError("cell bound must be at least 1")
     rng = random.Random(f"tame:{seed}:{n}")
     k = rng.randint(1, n)
-    draws = sorted(_grid_value(rng) for _ in range(2 * k))
-    points = draws[:1] + [q for p, q in zip(draws, draws[1:]) if q != p]  # distinct, unhashed
-    cells: list[Cell] = []
-    for j in range(0, len(points) - 1, 2 if rng.random() < 0.5 else 1):
-        if len(cells) >= k:
-            break
-        lo, hi = points[j], points[j + 1]
+    draws = []
+    for _ in range(2 * k):
+        den = rng.randint(1, _MAX_DEN)
+        num = rng.randint(-_GRID_SPAN * den, _GRID_SPAN * den)
+        draws.append((num * (_KEY_SCALE // den), num, den))
+    draws.sort()
+    points = draws[:1] + [q for p, q in zip(draws, draws[1:]) if q[0] != p[0]]
+    m = len(points)
+    gaps = [NONE] * (m + 1)
+    pts = [False] * m
+    for j in range(0, m - 1, 2 if rng.random() < 0.5 else 1)[:k]:
         roll = rng.random()
         if roll < 0.12:
-            cells.append(Cell(lo, lo, True, True, "full"))
+            pts[j] = True
         elif roll < 0.55:
-            cells.append(Cell(lo, hi, rng.random() < 0.5, rng.random() < 0.5, "full"))
+            gaps[j + 1] = FULL
+            if rng.random() < 0.5:
+                pts[j] = True
+            if rng.random() < 0.5:
+                pts[j + 1] = True
         elif roll < 0.8:
-            cells.append(Cell(lo, hi, False, False, "rationals"))
+            gaps[j + 1] = RATS
         else:
-            cells.append(Cell(lo, hi, False, False, "irrationals"))
-    if not cells:
-        cells.append(Cell(points[0], points[0], True, True, "full"))
-    return TameSet.from_cells(cells)
+            gaps[j + 1] = IRRS
+    if m == 1:  # no cell: the one point
+        pts[0] = True
+    keep, gaps, pts = realsets._minimize(gaps, pts)
+    return TameSet._raw([Fraction(points[j][1], points[j][2]) for j in keep], gaps, pts)
 
 
 # -- DSL parsing ---------------------------------------------------------------

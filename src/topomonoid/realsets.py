@@ -314,10 +314,6 @@ class TameSet:
         """Syntactic test: only rational traces and isolated points (countable)."""
         return all(g in (NONE, RATS) for g in self.gaps)
 
-    def isolated_points(self) -> tuple[Fraction, ...]:
-        return tuple(b for j, b in enumerate(self.breaks)
-                     if self.pts[j] and self.gaps[j] == NONE and self.gaps[j + 1] == NONE)
-
 
 def _minimize(gaps: Sequence[int], pts: Sequence[bool]):
     """(keep, gaps, pts) of the minimal profile: the indices of the surviving

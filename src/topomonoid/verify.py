@@ -474,12 +474,6 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     return first, skipped
 
 
-def d_law_violations(sets) -> tuple[list[str], int]:
-    """_d_law_violations on each set, and on each set with the next one,
-    cyclically."""
-    return _d_law_violations([(s,) for s in sets], list(zip(sets, sets[1:] + sets[:1])))
-
-
 def _d_law_violations(singles, pairs) -> tuple[list[str], int]:
     """Check of the d-operator laws, labelled:
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -138,10 +139,17 @@ def test_random_tame_deterministic():
 
 
 def _set_based_random_tame(seed, n):
-    """random_tame with its draws de-duplicated through a set of Fractions."""
+    """random_tame with its grid values drawn as Fractions, de-duplicated
+    through a set and laid out as Cells: it shares no drawing code with
+    random_tame."""
     rng = random.Random(f"tame:{seed}:{n}")
+
+    def grid_value():
+        den = rng.randint(1, 8)
+        return Fraction(rng.randint(-10 * den, 10 * den), den)
+
     k = rng.randint(1, n)
-    points = sorted({corpus_mod._grid_value(rng) for _ in range(2 * k)})
+    points = sorted({grid_value() for _ in range(2 * k)})
     cells = []
     for j in range(0, len(points) - 1, 2 if rng.random() < 0.5 else 1):
         if len(cells) >= k:
@@ -161,10 +169,35 @@ def _set_based_random_tame(seed, n):
     return TameSet.from_cells(cells)
 
 
-@pytest.mark.parametrize("n", [1, 4, 8])
-def test_random_tame_matches_the_set_based_draw(n):
-    for seed in range(1500):
+# The last case is the start of the benchmark's eval-cold pool, whose set
+# j is random_tame(5_000_000 + j, 8).
+@pytest.mark.parametrize("seeds,n", [(range(1500), 1), (range(1500), 4), (range(1500), 8),
+                                     (range(5_000_000, 5_000_400), 8)],
+                         ids=["1", "4", "8", "eval-cold"])
+def test_random_tame_matches_the_set_based_draw(seeds, n):
+    for seed in seeds:
         assert random_tame(seed, n) == _set_based_random_tame(seed, n), seed
+
+
+def test_random_tame_builds_no_cell(monkeypatch):
+    calls = []
+    post_init, from_cells = Cell.__post_init__, TameSet.from_cells
+
+    def counting_post_init(cell):
+        calls.append("Cell")
+        post_init(cell)
+
+    def counting_from_cells(cells):
+        calls.append("from_cells")
+        return from_cells(cells)
+
+    monkeypatch.setattr(Cell, "__post_init__", counting_post_init)
+    monkeypatch.setattr(TameSet, "from_cells", staticmethod(counting_from_cells))
+    for seed in range(200):
+        random_tame(seed, 8)
+    assert calls == []
+    parse_set_dsl("[0,1]")  # the counters see the Cell path
+    assert calls == ["Cell", "from_cells"]
 
 
 def test_random_tame_cell_bound():

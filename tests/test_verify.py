@@ -337,16 +337,23 @@ def test_an_undecidable_instance_is_never_a_pass(monkeypatch, run, args, cid):
     assert "undecidable" in check.details
 
 
+def _d_law_violations(sets):
+    """verify._d_law_violations on each set, and on each set with the next
+    one, cyclically."""
+    return verify._d_law_violations([(s,) for s in sets],
+                                    list(zip(sets, sets[1:] + sets[:1])))
+
+
 def test_5a_counts_undecidable_laws_as_skips(monkeypatch):
     sets = [tame(s) for s in CORPUS.random] + [
         CORPUS.named["V"], CORPUS.named["cV"], CORPUS.named["A22"]]
-    problems, skipped = verify.d_law_violations(sets)
+    problems, skipped = _d_law_violations(sets)
     assert not problems and skipped == 2
     # Undecidable on the witness too, so every set is evaluated and skipped,
     # and the witness, which no set failed in its place, is one more skip.
     monkeypatch.setattr(verify, "D_SET_LAWS",
                         verify.D_SET_LAWS + (verify.Law("(x) fails", _undecidable),))
-    assert verify.d_law_violations(sets) == ([], skipped + len(sets) + 1)
+    assert _d_law_violations(sets) == ([], skipped + len(sets) + 1)
 
 
 # -- criterion 5 on witnesses agrees with the set-by-set check -----------------
@@ -439,7 +446,7 @@ def test_laws_on_witnesses_match_the_set_by_set_oracle(seed):
     corpus = build_corpus(verify.DEFAULT_CORPUS_SIZE, seed)
     sets = _5a_sets(corpus)
     expected = _oracle_d_law_violations(sets)
-    assert verify.d_law_violations(sets) == expected
+    assert _d_law_violations(sets) == expected
     if seed == 1729:
         assert expected == ([], 2)
     bp_sets = [s for s in _all_sets(corpus) if has_baire_property(s) is True]

@@ -432,6 +432,13 @@ def test_complement_of_a_plus_or_minus_v_set_never_collapses(params):
 # -- apply_word against the letter-by-letter case analysis ------------------------
 
 
+def _isolated_points(base):
+    """The breakpoints of a tame set that lie in it with no trace on either side."""
+    return tuple(b for j, b in enumerate(base.breaks)
+                 if base.pts[j] and base.gaps[j] == realsets.NONE
+                 and base.gaps[j + 1] == realsets.NONE)
+
+
 def _sym_apply_by_cases(letter, s):
     """sym_apply as the plusV/minusV case analysis the shape walk replaced."""
     if s.is_tame() or letter in ("0", "1"):
@@ -443,7 +450,7 @@ def _sym_apply_by_cases(letter, s):
     if letter == "k":
         if s.mode == "plusV":
             return tame(union(realsets.closure(s.base), params.kw1))
-        for p in s.base.isolated_points():
+        for p in _isolated_points(s.base):
             if params.w1.contains(p):
                 raise Undecidable(
                     f"isolated point {p} lies inside W1: membership in V is not "
