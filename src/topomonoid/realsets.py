@@ -41,26 +41,42 @@ it yields the image's shape and the indices `keep` of the breakpoints
 that survive, and the breakpoint values merely ride along
 (breaks[j] for j in keep).  Each operator is written once as such a map.
 
-Shapes are interned (hash-consing): each distinct shape is one _Shape
+Shapes are codes.  The code of a shape is one byte per breakpoint, its
+triple gl*8 + p*4 + gr (left trace, membership, right trace), or the one
+byte 32 + g for a shape with no breakpoint and the trace g.  By the lemma
+each letter is a byte translation: its 256-byte table maps each of the 36
+bytes to the byte of its image, read off one call of _SHAPE_OPS on U's
+unminimized shape (below), which shows all 32 triples and all 4 traces.
+So a letter's image is code.translate(table), one pass in C.
+Minimization deletes the bytes of the four triples (g, natural(g), g),
+_NATURAL_CODES, with one more translate; a dropped byte has one trace on
+both sides, so what is left is again a code (32 + g when nothing is).
+`keep`, the indices of the surviving breakpoints, is computed only when
+some byte was dropped.  _minimize and _from_profile minimize through the
+code too, so minimality has one definition.
+
+Shapes are interned (hash-consing): each distinct code is one _Shape
 node, made once through the table _SHAPES, and a node holds its moves,
 letter -> (keep, next node), each computed on first use.  The constants 0
 and 1 are moves too, to the empty or the full shape with no breakpoint
 kept.  A TameSet keeps the node of its shape once it has been walked, and
-an image is built with its node, so `apply_word` hashes a shape at most
-once per fresh set and then follows one move per letter: no Fraction, and
-no shape tuple, is hashed or compared on the way.  `_walk` is that loop:
-from a node it follows the word's moves and composes their keep maps, and
-`apply_word` selects the image's breakpoints once, at the end; each of the
-five operators is `apply_word` on its one-letter word.  vitali walks the
-same graph from the refined shape of a plusV or minusV set, a node of the
-same table under a longer key.  Every node carries the epoch it was
-interned in, and a node starts a walk only while that epoch is current
-(_current).  `_reset_shapes` starts a new epoch with an empty table, so a
-reset is exact: a walk starts only at a node of the current epoch, and a
-move leads only to a node of its own epoch (the table is reset, when it
-reaches 262,144 shapes, before a walk and never during one), so moves
-computed before a reset (say, under a patched _SHAPE_OPS) are never
-followed again, even from nodes that long-lived sets such as U still hold.
+an image is built with its node, so `apply_word` encodes and hashes a
+shape at most once per fresh set and then follows one move per letter: no
+Fraction, and no shape tuple, is hashed or compared on the way.  `_walk`
+is that loop: from a node it follows the word's moves and composes their
+keep maps, and `apply_word` selects the image's breakpoints once, at the
+end, decoding the image's node into (gaps, pts) the first time a set is
+made on it; each of the five operators is `apply_word` on its one-letter
+word.  vitali walks the same graph from the refined shape of a plusV or
+minusV set, a node of the same table under a tuple key.  Every node
+carries the epoch it was interned in, and a node starts a walk only while
+that epoch is current (_current).  `_reset_shapes` starts a new epoch with
+empty tables of shapes and of letter translations, so a reset is exact: a
+walk starts only at a node of the current epoch, and a move leads only to
+a node of its own epoch (the table is reset, when it reaches 262,144
+shapes, before a walk and never during one), so moves and translations
+made before a reset (say, under a patched _SHAPE_OPS) are never used
+again, even from nodes that long-lived sets such as U still hold.
 
 Universal witness.  By the lemma, the image of a set under a word over
 kicdf01 has, on each gap, a trace that depends only on the gap's trace,
@@ -124,6 +140,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Sequence
 
 INF = float("inf")
@@ -315,14 +332,58 @@ class TameSet:
         return all(g in (NONE, RATS) for g in self.gaps)
 
 
+# -- shape codes -----------------------------------------------------------
+#
+# The code of a shape (gaps, pts) is one byte per breakpoint, its triple
+# gl*8 + p*4 + gr (left trace, membership, right trace), or the one byte
+# 32 + g for a shape with no breakpoint and the trace g.
+
+
+def _code(gaps: Sequence[int], pts: Sequence[bool]) -> bytes:
+    if not pts:
+        return bytes((32 + gaps[0],))
+    return bytes([8 * g + 4 * p + h for g, p, h in zip(gaps, pts, gaps[1:])])
+
+
+# Translation tables to the right trace (b & 3) and to the membership bit
+# (b & 4) of each byte.
+_RIGHT = bytes(range(4)) * 64
+_MEMBER = (bytes(4) + b"\1" * 4) * 32
+
+
+def _decode(code: bytes) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """(gaps, pts) of a code."""
+    first = code[0]
+    if first >= 32:
+        return (first - 32,), ()
+    return (first >> 3, *code.translate(_RIGHT)), tuple(map(bool, code.translate(_MEMBER)))
+
+
+# The codes of the triples (g, natural(g), g), which minimization drops, and
+# a table that maps them to 0 and keeps every other byte, which is nonzero.
+_NATURAL_CODES = bytes(9 * g + 4 * _NATURAL[g] for g in range(4))
+_KEPT = bytes.maketrans(_NATURAL_CODES, bytes(len(_NATURAL_CODES)))
+
+
+def _minimal(code: bytes):
+    """(keep, code) of the minimal shape: the indices of the surviving
+    breakpoints (None when all survive) and the code with the triples
+    (g, natural(g), g) deleted.  When none is left, every triple had one
+    trace g, the first byte's left trace, and the code is 32 + g."""
+    kept = code.translate(None, _NATURAL_CODES)
+    if len(kept) == len(code):
+        return None, code
+    keep = tuple(compress(range(len(code)), code.translate(_KEPT)))
+    return keep, kept or bytes((32 + (code[0] >> 3),))
+
+
 def _minimize(gaps: Sequence[int], pts: Sequence[bool]):
     """(keep, gaps, pts) of the minimal profile: the indices of the surviving
     breakpoints and the merged traces and memberships.  Reads no breakpoint."""
-    keep = tuple(j for j in range(len(pts))
-                 if gaps[j] != gaps[j + 1] or pts[j] != _NATURAL[gaps[j]])
-    if len(keep) == len(pts):
-        return keep, tuple(gaps), tuple(pts)
-    return keep, (gaps[0], *[gaps[j + 1] for j in keep]), tuple(pts[j] for j in keep)
+    keep, code = _minimal(_code(gaps, pts))
+    if keep is None:
+        return range(len(pts)), tuple(gaps), tuple(pts)
+    return (keep, *_decode(code))
 
 
 def _from_profile(breaks: Sequence, gaps: Sequence[int], pts: Sequence[bool]) -> TameSet:
@@ -351,9 +412,8 @@ def _de_bruijn(k: int) -> tuple[int, ...]:
 # sequence B of the trace pairs gives the 33 gaps B + B + B[:1] around the
 # breakpoints 21..52, which are members exactly from the 17th on.
 _DE_BRUIJN = _de_bruijn(4)
-UNIVERSAL = _from_profile([Fraction(b) for b in range(21, 53)],
-                          _DE_BRUIJN * 2 + _DE_BRUIJN[:1],
-                          [j >= 16 for j in range(32)])
+_UNIVERSAL_SHAPE = (_DE_BRUIJN * 2 + _DE_BRUIJN[:1], tuple(j >= 16 for j in range(32)))
+UNIVERSAL = _from_profile([Fraction(b) for b in range(21, 53)], *_UNIVERSAL_SHAPE)
 
 
 @lru_cache(maxsize=None)
@@ -516,48 +576,62 @@ _SHAPE_OPS = {
 
 
 class _Shape:
-    """One interned shape (gaps, pts), with the letters already walked from it.
+    """One interned shape, by its code, with the letters already walked from it.
 
     `moves` maps a letter to (keep, next): keep is the indices of the
     breakpoints that survive in the letter's minimal image (None when all
     of them do), and next is the node of the image's shape.  A move is
-    computed once, on first use, by minimizing `image`.  `epoch` is the
-    epoch the node was interned in; a node starts a walk only while that
-    epoch is current (see _current).
+    computed once, on first use, by minimizing `image`.  `profile` is the
+    shape as (gaps, pts), decoded when a set is first made on the node.
+    `epoch` is the epoch the node was interned in; a node starts a walk
+    only while that epoch is current (see _current).
     """
 
-    __slots__ = ("gaps", "pts", "epoch", "moves")
+    __slots__ = ("code", "profile", "epoch", "moves")
 
-    def __init__(self, gaps: tuple[int, ...], pts: tuple[bool, ...]):
-        self.gaps = gaps
-        self.pts = pts
+    def __init__(self, code: bytes):
+        self.code = code
+        self.profile = None
         self.epoch = _epoch
         self.moves = {}
 
-    def image(self, letter: str):
-        """The unminimized shape of the letter's image, by _SHAPE_OPS."""
-        op = _SHAPE_OPS.get(letter)
-        if op is None:
-            raise ValueError(f"unknown operator letter {letter!r}")
-        return op(self.gaps, self.pts)
+    def image(self, letter: str) -> bytes:
+        """The code of the letter's unminimized image: one translation."""
+        return self.code.translate(_TABLES.get(letter) or _table(letter))
 
     def move(self, letter: str):
-        keep, gaps, pts = _minimize(*self.image(letter))
-        move = self.moves[letter] = (None if len(keep) == len(self.pts) else keep,
-                                     _intern((gaps, pts)))
+        keep, code = _minimal(self.image(letter))
+        move = self.moves[letter] = keep, _intern(code)
         return move
 
 
 _epoch = 0
-_SHAPES: dict[tuple, _Shape] = {}
+_SHAPES: dict = {}
+_TABLES: dict[str, bytes] = {}
 
 
-def _intern(key: tuple, cls=_Shape) -> _Shape:
-    """The node of key, made as cls(*key) on first use: (gaps, pts) for a
-    plain shape; vitali's refined shapes have longer keys."""
+def _table(letter: str) -> bytes:
+    """The translation table of a letter, made once per epoch.  By the
+    locality lemma a byte's image depends on the byte alone, so the table is
+    read off one call of _SHAPE_OPS on the unminimized shape of U: its 32
+    bytes are the 32 triples, and its gaps show the 4 traces."""
+    op = _SHAPE_OPS.get(letter)
+    if op is None:
+        raise ValueError(f"unknown operator letter {letter!r}")
+    gaps, pts = _UNIVERSAL_SHAPE
+    img_gaps, img_pts = op(gaps, pts)
+    table = _TABLES[letter] = bytes.maketrans(
+        _code(gaps, pts) + bytes(32 + g for g in range(4)),
+        _code(img_gaps, img_pts) + bytes(32 + img_gaps[gaps.index(g)] for g in range(4)))
+    return table
+
+
+def _intern(key, cls=_Shape) -> _Shape:
+    """The node of key, made as cls(key) on first use: the code of a plain
+    shape; vitali's refined shapes have tuple keys."""
     node = _SHAPES.get(key)
     if node is None:
-        node = _SHAPES[key] = cls(*key)
+        node = _SHAPES[key] = cls(key)
     return node
 
 
@@ -575,18 +649,19 @@ def _shape_of(s: TameSet) -> _Shape:
     on the first walk after a reset)."""
     node = s._shape
     if not _current(node):
-        node = s._shape = _intern((s.gaps, s.pts))
+        node = s._shape = _intern(_code(s.gaps, s.pts))
     return node
 
 
 def _reset_shapes() -> None:
-    """Forget every interned shape and move: start a new epoch with an empty
-    table.  Nodes still held by sets belong to an old epoch, so _shape_of
-    interns those sets afresh, and no move computed before the reset (say,
-    under another _SHAPE_OPS) is ever followed again."""
+    """Forget every interned shape, move and letter table: start a new epoch
+    with empty tables.  Nodes still held by sets belong to an old epoch, so
+    _shape_of interns those sets afresh, and no move or table made before
+    the reset (say, under another _SHAPE_OPS) is ever used again."""
     global _epoch
     _epoch += 1
     _SHAPES.clear()
+    _TABLES.clear()
 
 
 def _walk(word: str, node: _Shape):
@@ -597,7 +672,7 @@ def _walk(word: str, node: _Shape):
     for ch in reversed(word):
         step, node = node.moves.get(ch) or node.move(ch)
         if step is not None:
-            keep = step if keep is None else tuple(keep[j] for j in step)
+            keep = step if keep is None else tuple(map(keep.__getitem__, step))
     return keep, node
 
 
@@ -605,8 +680,11 @@ def _select(breaks: tuple, keep, node: _Shape) -> TameSet:
     """The set of shape node on the breakpoints breaks[j], j in keep (all of
     breaks when keep is None)."""
     if keep is not None:
-        breaks = tuple(breaks[j] for j in keep)
-    return TameSet(breaks, node.gaps, node.pts, True, node)
+        breaks = tuple(map(breaks.__getitem__, keep))
+    profile = node.profile
+    if profile is None:
+        profile = node.profile = _decode(node.code)
+    return TameSet(breaks, *profile, True, node)
 
 
 def closure(s: TameSet) -> TameSet:

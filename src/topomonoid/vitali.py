@@ -56,29 +56,45 @@ plusV or minusV set walks from its refined shape:
   * The refined profile of a set is its base's profile on the union of
     the base's and the frame's breakpoints, unminimized, each gap and
     point labelled by the frame.  It is made once, by one merge, and the
-    set keeps it (SymbolicSet._refined); its shape, labels and mode are
-    one interned node (_VShape) in realsets' table, so the epoch,
+    set keeps it (SymbolicSet._refined); its code (realsets' shape
+    codes), the three masks of its labels and its mode are one interned
+    node (_VShape) in realsets' table, so the epoch,
     realsets._reset_shapes and the table's bound cover it too.
+  * The masks are ints over the bytes of the refined code.  The kW1 and
+    kW0 masks are the codes of kW1 and kW0 there: FULL gaps and member
+    points where the label holds the set.  The W1 mask has the membership
+    bit of each point inside W1.  The frame keeps the three mask bytes of
+    a refined breakpoint inside each frame gap and at each frame point,
+    so refining a set appends bytes, and every third one is one mask's.
 
 On the refined profile every letter is local, as realsets' operators are
 on a plain profile (its locality lemma): the image's trace on a gap reads
 only the gap's base trace and label, and its membership at a point only
-the point's base triple and label.  By the bullets above:
+the point's base triple and label.  So by the bullets above each letter
+is a byte operation on the code, on top of its realsets translation:
 
-  * k on plusV is the base's k, joined entrywise with kW1 by the labels,
-    and d is the base's d joined with kW0;
-  * k on minusV is the base's k, except at a point whose base triple is
-    (NONE, member, NONE) and whose label is inside W1.  Such a point is
-    exactly an isolated point of the minimal base inside W1: minimization
-    keeps a member point with empty gaps on both sides, and the gaps
-    beside a kept point keep their traces.  The move raises an index into
-    the refined breakpoints, and apply_word names the point, so k is
-    undecidable exactly where the k bullet says;
-  * d on minusV is the base's d;
-  * c complements the base entrywise and flips the mode, with the labels
-    kept, so its image is again a refined node: it never collapses, by
+  * k on plusV is the base's k image ORed with the kW1 mask, and d is
+    the base's d image ORed with the kW0 mask.  OR is the union there: a
+    k or d image has only NONE and FULL traces, 0 and 1, so ORing FULL's
+    1 into a trace gives FULL and NONE's 0 leaves it, and a membership
+    bit ORs as a bool;
+  * k on minusV is the base's k image, except at a point whose base
+    triple is (NONE, member, NONE) and whose label is inside W1: the
+    nonzero bytes of the code translated to keep that one byte, ANDed
+    with the W1 mask.  Such a point is exactly an isolated point of the
+    minimal base inside W1: minimization keeps a member point with empty
+    gaps on both sides, and the gaps beside a kept point keep their
+    traces.  The move raises the index of the first nonzero byte, an
+    index into the refined breakpoints, and apply_word names the point,
+    so k is undecidable exactly where the k bullet says, at the leftmost
+    such point;
+  * d on minusV is the base's d image;
+  * c is one translation of the code, with the masks kept, and flips the
+    mode, so its image is again a refined node: it never collapses, by
     the c bullet;
-  * i = ckc, and f = k & kc entrywise, both on the same breakpoints.
+  * i = ckc, and f = k & kc is the AND of the two k images, on the same
+    breakpoints.  AND is the intersection there, because both images
+    have only NONE and FULL traces.
 
 A tame image is minimized into a plain realsets node, whose keep indices
 point into the refined breakpoints, and the walk goes on there.  So the
@@ -152,8 +168,22 @@ class Undecidable(Exception):
 _W1, _KW1, _KW0 = 1, 2, 4
 
 
+def _masks(gap_w, pt_w) -> bytes:
+    """The bytes of the kW1, kW0 and W1 masks of a code whose gaps and
+    points carry these frame labels, in that order.  The kW1 and kW0 masks
+    are the codes of the shapes that are FULL and member where the label
+    holds the set; the W1 mask has the membership bit of the points in W1."""
+    full = (realsets.NONE, realsets.FULL)
+    return b"".join((
+        realsets._code([full[w & _KW1 != 0] for w in gap_w], [w & _KW1 != 0 for w in pt_w]),
+        realsets._code([full[w & _KW0 != 0] for w in gap_w], [w & _KW0 != 0 for w in pt_w]),
+        realsets._code([realsets.NONE] * len(gap_w), [w & _W1 != 0 for w in pt_w])))
+
+
 def _frame(w0: TameSet, w1: TameSet, kw0: TameSet, kw1: TameSet):
-    """(breaks, gap labels, point labels) of the frame (module docstring).
+    """(breaks, inside, at, whole) of the frame (module docstring): the mask
+    bytes (_masks) of a refined breakpoint inside each frame gap and at each
+    frame point, and of a refined shape with no breakpoint.
 
     W0 and W1 are open, so each of the four sets is FULL or NONE on a frame
     gap, and the gap is labelled by one rational inside it."""
@@ -165,7 +195,10 @@ def _frame(w0: TameSet, w1: TameSet, kw0: TameSet, kw1: TameSet):
         return ((_W1 if w1.contains(x) else 0) | (_KW1 if kw1.contains(x) else 0)
                 | (_KW0 if kw0.contains(x) else 0))
 
-    return tuple(breaks), tuple(map(label, inside)), tuple(map(label, breaks))
+    gap_w, pt_w = list(map(label, inside)), list(map(label, breaks))
+    return (tuple(breaks), tuple(_masks((w, w), (w,)) for w in gap_w),
+            tuple(_masks(gap_w[j:j + 2], pt_w[j:j + 1]) for j in range(len(breaks))),
+            _masks(gap_w[:1], ()))
 
 
 class VitaliParams:
@@ -282,13 +315,15 @@ def _params_of(*sets: SymbolicSet) -> VitaliParams:
 
 
 def _refine(base: TameSet, frame):
-    """(breaks, gaps, pts, gap labels, point labels): the profile of base on
-    its breakpoints and the frame's, unminimized, with the frame label of
-    every gap and point.  Each frame point is placed by one bisection of
-    base's breakpoints; a point inside a frame gap takes the gap's label."""
-    fb, fgap, fpt = frame
+    """(breaks, code, kW1 mask, kW0 mask, W1 mask): the profile of base on
+    its breakpoints and the frame's, unminimized, as a shape code, and the
+    int masks of its frame labels.  Each frame point is placed by one
+    bisection of base's breakpoints; a point inside a frame gap takes the
+    gap's label, so each refined breakpoint appends the three mask bytes
+    the frame holds for its place, and every third byte is one mask."""
+    fb, inside, at, whole = frame
     xs, gs, ps = base.breaks, base.gaps, base.pts
-    breaks, pts, pt_w, gaps, gap_w = [], [], [], [gs[0]], [fgap[0]]
+    breaks, pts, gaps, masks = [], [], [gs[0]], bytearray()
     i = 0
     for j in range(len(fb) + 1):
         # Base points i..hi-1 lie inside frame gap j.
@@ -296,8 +331,7 @@ def _refine(base: TameSet, frame):
         breaks += xs[i:hi]
         pts += ps[i:hi]
         gaps += gs[i + 1:hi + 1]
-        pt_w += [fgap[j]] * (hi - i)
-        gap_w += [fgap[j]] * (hi - i)
+        masks += inside[j] * (hi - i)
         i = hi
         if j == len(fb):
             break
@@ -308,10 +342,17 @@ def _refine(base: TameSet, frame):
         else:
             pts.append(realsets._NATURAL[gs[i]])
         breaks.append(x)
-        pt_w.append(fpt[j])
+        masks += at[j]
         gaps.append(gs[i])
-        gap_w.append(fgap[j + 1])
-    return tuple(breaks), tuple(gaps), tuple(pts), tuple(gap_w), tuple(pt_w)
+    masks = masks or whole
+    return (tuple(breaks), realsets._code(gaps, pts),
+            *(int.from_bytes(masks[m::3], "big") for m in range(3)))
+
+
+# A translation table that keeps the byte (NONE, member, NONE) of an
+# isolated member point and maps every other byte to 0.
+_ISOLATED_MEMBER = realsets._code((realsets.NONE, realsets.NONE), (True,))[0]
+_ISOLATED = bytes(b if b == _ISOLATED_MEMBER else 0 for b in range(256))
 
 
 class _Stuck(Exception):
@@ -325,37 +366,35 @@ class _Stuck(Exception):
 
 class _VShape(realsets._Shape):
     """One interned refined shape of a plusV or minusV set (module docstring):
-    the base's traces and memberships on the refined profile, their frame
-    labels and the mode.  c moves to the node of the other mode; every other
-    letter moves to a plain realsets node, whose keep indices point into the
-    refined breakpoints.  `minimal` is the base's own minimal shape."""
+    the code of the base's traces and memberships on the refined profile,
+    the masks of their frame labels and the mode.  c moves to the node of
+    the other mode; every other letter moves to a plain realsets node, whose
+    keep indices point into the refined breakpoints.  `minimal` is the
+    base's own minimal shape."""
 
-    __slots__ = ("mode", "gap_w", "pt_w", "_minimal")
+    __slots__ = ("mode", "kw1", "kw0", "w1", "_minimal")
 
-    def __init__(self, mode, gaps, pts, gap_w, pt_w):
-        super().__init__(gaps, pts)
+    def __init__(self, key: tuple):
+        mode, code, self.kw1, self.kw0, self.w1 = key
+        super().__init__(code)
         self.mode = mode
-        self.gap_w = gap_w
-        self.pt_w = pt_w
         self._minimal = None
 
     def key(self) -> tuple:
-        return self.mode, self.gaps, self.pts, self.gap_w, self.pt_w
+        return self.mode, self.code, self.kw1, self.kw0, self.w1
 
     def minimal(self):
         """(keep, node) of the base's minimal shape, made on first use."""
         if self._minimal is None:
-            keep, gaps, pts = realsets._minimize(self.gaps, self.pts)
-            self._minimal = (None if len(keep) == len(self.pts) else keep,
-                             realsets._intern((gaps, pts)))
+            keep, code = realsets._minimal(self.code)
+            self._minimal = keep, realsets._intern(code)
         return self._minimal
 
     def move(self, letter: str):
         if letter == "c":  # never collapses (module docstring)
-            gaps, pts = super().image("c")
             mode = MODE_MINUS if self.mode == MODE_PLUS else MODE_PLUS
             move = (None, realsets._intern(
-                (mode, tuple(gaps), tuple(pts), self.gap_w, self.pt_w), _VShape))
+                (mode, super().image("c"), self.kw1, self.kw0, self.w1), _VShape))
         elif letter == "i":
             move = realsets._walk("ckc", self)
         else:
@@ -363,27 +402,24 @@ class _VShape(realsets._Shape):
         self.moves[letter] = move
         return move
 
-    def image(self, letter: str):
-        """The unminimized shape of the tame image under k, d or f (module
+    def image(self, letter: str) -> bytes:
+        """The code of the unminimized tame image under k, d or f (module
         docstring); the constants as on a plain shape."""
         if letter == "f":
             _, c = self.moves.get("c") or self.move("c")
-            (kg, kp), (cg, cp) = self.image("k"), c.image("k")
-            return ([realsets._INTER[g][h] for g, h in zip(kg, cg)],
-                    [p and q for p, q in zip(kp, cp)])
+            k, kc = self.image("k"), c.image("k")
+            return (int.from_bytes(k, "big") & int.from_bytes(kc, "big")).to_bytes(len(k), "big")
+        img = super().image(letter)
         if letter != "k" and letter != "d":
-            return super().image(letter)
-        gaps, pts = super().image(letter)
+            return img
         if self.mode == MODE_PLUS:  # k(B u V) = kB u kW1, d(B u V) = dB u kW0
-            bit = _KW1 if letter == "k" else _KW0
-            return ([realsets.FULL if w & bit else g for g, w in zip(gaps, self.gap_w)],
-                    [p or bool(w & bit) for p, w in zip(pts, self.pt_w)])
+            mask = self.kw1 if letter == "k" else self.kw0
+            return (int.from_bytes(img, "big") | mask).to_bytes(len(img), "big")
         if letter == "k":  # k(B minus V) = kB, but for an isolated point inside W1
-            gs, ps, pw = self.gaps, self.pts, self.pt_w
-            for j in range(len(ps)):
-                if ps[j] and pw[j] & _W1 and gs[j] == gs[j + 1] == realsets.NONE:
-                    raise _Stuck(j)
-        return gaps, pts
+            stuck = int.from_bytes(self.code.translate(_ISOLATED), "big") & self.w1
+            if stuck:
+                raise _Stuck(len(img) - 1 - (stuck.bit_length() - 1) // 8)
+        return img
 
 
 def _refinement(s: SymbolicSet):

@@ -134,6 +134,17 @@ def test_custom_vitali_params(capsys):
     assert code == 0 and out.strip() == "[0,1]"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("eval", "i", "--set", "(-inf,inf) ∖ V"), "{}"),
+    (("eval", "kc", "--set", "V"), "(-inf,inf)"),
+], ids=["i-of-reals-minus-v", "kc-of-v"])
+def test_eval_on_the_whole_line(capsys, argv, expected):
+    # W0 = W1 = R: the frame has no breakpoint, so a refined set with no
+    # breakpoint of its own is one gap, and that gap's label decides.
+    code, out, _ = run(capsys, "--w0", "(-inf,inf)", "--w1", "(-inf,inf)", *argv)
+    assert code == 0 and out.strip() == expected
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "d", "--witness", "V"),
     ("verify", "--corpus-size", "20"),

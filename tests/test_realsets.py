@@ -516,7 +516,7 @@ def test_interned_walk_is_the_letter_fold(drawn, word):
         img = apply_word(word, s)
         assert img == _fold(word, s), (word, s)
         assert img._shape.epoch == realsets._epoch
-        assert (img._shape.gaps, img._shape.pts) == (img.gaps, img.pts)
+        assert img._shape.code == realsets._code(img.gaps, img.pts)
         if "0" not in word and "1" not in word and img == s:
             assert img is s, word
         interned = _interned_moves()

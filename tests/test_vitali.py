@@ -376,9 +376,16 @@ def _outcome(fn, a, b):
         return Undecidable
 
 
+def _w1_span(params):
+    """The least and greatest breakpoints of W1; 8 and 10 when W1 = R has none."""
+    if not params.w1.breaks:
+        return Fraction(8), Fraction(10)
+    return params.w1.breaks[0], params.w1.breaks[-1]
+
+
 def _de_morgan_pool(params, seed):
     """Seeded sets of every mode, half of them built on the edge of W1."""
-    lo, hi = params.w1.breaks[0], params.w1.breaks[-1]
+    lo, hi = _w1_span(params)
     mid, quarter = (lo + hi) / 2, (hi - lo) / 4
     edge = [
         params.w1, params.kw1, params.w0, realsets.complement(params.w1),
@@ -500,17 +507,20 @@ def _every_adjacent_pair(lo, step):
 @pytest.mark.parametrize("params", [
     vitali.DEFAULT_PARAMS, VitaliParams.make(interval(-2, -1), interval(-3, 5)),
     VitaliParams.make(interval(8, 9), union(interval(8, 9), interval(9, 10))),
-    VitaliParams.make(interval(8, 10), interval(8, 10))],
-    ids=["default", "custom", "two-component-w1", "w0-equals-w1"])
+    VitaliParams.make(interval(8, 10), interval(8, 10)),
+    VitaliParams.make(realsets.REALS, realsets.REALS)],
+    ids=["default", "custom", "two-component-w1", "w0-equals-w1", "whole-line"])
 def test_apply_word_matches_the_uncached_fold(params):
     pool = _de_morgan_pool(params, 9300)
     pool += [tame(random_tame(9400 + j, 5)) for j in range(10)]
-    lo, hi = params.w1.breaks[0], params.w1.breaks[-1]
+    lo, hi = _w1_span(params)
     bases = [_every_adjacent_pair(lo - 1, (hi - lo + 2) / 16),
              _every_adjacent_pair(hi + 1, Fraction(1, 2))]
-    # Points at 8, 9 and 10, on the frame of three of the configurations, and
-    # isolated points at 19/2 and at 9 (in W1, or only in kW1).
+    # Points at 8, 9 and 10, on the frame of three of the configurations,
+    # isolated points at 19/2 and at 9 (in W1, or only in kW1), and two
+    # isolated points inside W1, where an Undecidable k names the leftmost.
     bases += [union(union(point(8), point(9)), point(10)),
+              union(point(Fraction(17, 2)), point(Fraction(19, 2))),
               union(interval(8, 9, True, True), point(Fraction(19, 2))),
               union(interval(8, Fraction(17, 2)), point(9)),
               union(union(interval(8, 9), point(9)), interval(9, 10, density="irrationals")),
