@@ -332,14 +332,12 @@ class TameSet:
         return all(g in (NONE, RATS) for g in self.gaps)
 
 
-# -- shape codes -----------------------------------------------------------
-#
-# The code of a shape (gaps, pts) is one byte per breakpoint, its triple
-# gl*8 + p*4 + gr (left trace, membership, right trace), or the one byte
-# 32 + g for a shape with no breakpoint and the trace g.
+# -- shape codes (module docstring) -------------------------------------------
 
 
 def _code(gaps: Sequence[int], pts: Sequence[bool]) -> bytes:
+    """The code of the shape (gaps, pts): the byte gl*8 + p*4 + gr of each
+    breakpoint, or 32 + g for a shape with no breakpoint and the trace g."""
     if not pts:
         return bytes((32 + gaps[0],))
     return bytes([8 * g + 4 * p + h for g, p, h in zip(gaps, pts, gaps[1:])])

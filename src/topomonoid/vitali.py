@@ -173,11 +173,11 @@ def _masks(gap_w, pt_w) -> bytes:
     points carry these frame labels, in that order.  The kW1 and kW0 masks
     are the codes of the shapes that are FULL and member where the label
     holds the set; the W1 mask has the membership bit of the points in W1."""
-    full = (realsets.NONE, realsets.FULL)
-    return b"".join((
-        realsets._code([full[w & _KW1 != 0] for w in gap_w], [w & _KW1 != 0 for w in pt_w]),
-        realsets._code([full[w & _KW0 != 0] for w in gap_w], [w & _KW0 != 0 for w in pt_w]),
-        realsets._code([realsets.NONE] * len(gap_w), [w & _W1 != 0 for w in pt_w])))
+    def mask(bit, trace):
+        return realsets._code([trace if w & bit else realsets.NONE for w in gap_w],
+                              [w & bit != 0 for w in pt_w])
+
+    return mask(_KW1, realsets.FULL) + mask(_KW0, realsets.FULL) + mask(_W1, realsets.NONE)
 
 
 def _frame(w0: TameSet, w1: TameSet, kw0: TameSet, kw1: TameSet):

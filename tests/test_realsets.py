@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from test_oracle import member
@@ -436,6 +436,27 @@ def shape_with_two_placements(draw):
         placements.append(tuple(sorted({Fraction(m, denominator) for m in numerators})))
     assume(placements[0] != placements[1])
     return gaps, pts, placements
+
+
+def _minimize_by_rule(gaps, pts):
+    """The minimality rule of the module docstring, breakpoint by breakpoint:
+    keep j when its two traces differ or its membership is not the one its
+    trace gives a rational point."""
+    keep = [j for j in range(len(pts))
+            if gaps[j] != gaps[j + 1] or pts[j] != realsets._NATURAL[gaps[j]]]
+    return keep, (gaps[0], *[gaps[j + 1] for j in keep]), tuple(pts[j] for j in keep)
+
+
+@LOCAL
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from(range(4)), min_size=n + 1, max_size=n + 1),
+    st.lists(st.booleans(), min_size=n, max_size=n))))
+@example(([2, 2, 2], [True, True]))  # every breakpoint dropped: one RATS gap is left
+@example(([1, 1], [False]))  # a FULL gap with one missing point: kept
+def test_minimize_follows_the_minimality_rule(shape):
+    gaps, pts = shape
+    keep, min_gaps, min_pts = realsets._minimize(gaps, pts)
+    assert (list(keep), min_gaps, min_pts) == _minimize_by_rule(gaps, pts)
 
 
 def _kept(img, s):
