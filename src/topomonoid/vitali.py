@@ -169,10 +169,11 @@ _W1, _KW1, _KW0 = 1, 2, 4
 
 
 def _masks(gap_w, pt_w) -> bytes:
-    """The bytes of the kW1, kW0 and W1 masks of a code whose gaps and
-    points carry these frame labels, in that order.  The kW1 and kW0 masks
-    are the codes of the shapes that are FULL and member where the label
-    holds the set; the W1 mask has the membership bit of the points in W1."""
+    """The kW1, kW0 and W1 mask bytes, in that order, of a one-byte code (one
+    point, or no breakpoint) whose gaps and points carry these frame labels.
+    The kW1 and kW0 masks are the codes of the shapes that are FULL and
+    member where the label holds the set; the W1 mask has the membership
+    bit of the points in W1."""
     def mask(bit, trace):
         return realsets._code([trace if w & bit else realsets.NONE for w in gap_w],
                               [w & bit != 0 for w in pt_w])
