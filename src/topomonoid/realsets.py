@@ -7,20 +7,20 @@ i, complement c, the Baire second-category operator d, and the frontier
 f, and every one of them is computed exactly — no floating point anywhere,
 so structural equality of normalized sets coincides with set equality.
 
-Internally a set is a minimal *profile*:
+Internally a set is (breaks, code): its strictly increasing rational
+breakpoints b1 < ... < bn, and the code of its shape, one byte per
+breakpoint, gl*8 + p*4 + gr: the traces on the open gaps left and right
+of it and its membership; or the one byte 32 + g when there is no
+breakpoint and the line has the trace g.  A trace, on a gap of (-inf,b1),
+(b1,b2), ..., (bn,inf), is NONE, FULL, RATS (rationals of the gap) or
+IRRS (irrationals of the gap).  Minimality: a breakpoint is kept only if
+the traces on its two sides differ, or its own membership differs from
+what the surrounding trace would give a rational point, i.e. its byte is
+not one of the four *natural* bytes (g, natural(g), g).  Under that
+invariant (breaks, code) is an intrinsic description of the set, which
+is what makes equality exact.
 
-    breaks : strictly increasing rational breakpoints b1 < ... < bn
-    gaps   : the trace of the set on each of the n+1 open gaps
-             (-inf,b1), (b1,b2), ..., (bn,inf); one of NONE, FULL,
-             RATS (rationals of the gap), IRRS (irrationals of the gap)
-    pts    : membership of each breakpoint
-
-Minimality: a breakpoint is kept only if the traces on its two sides
-differ, or its own membership differs from what the surrounding trace
-would give a rational point.  Under that invariant the profile is an
-intrinsic description of the set, which is what makes equality exact.
-
-All five operators act gap-wise and point-wise on profiles:
+All five operators act gap-wise and point-wise on shapes:
 
   * k fills every nonempty gap and adds its endpoints;
   * i keeps only FULL gaps and interior breakpoints;
@@ -36,47 +36,42 @@ All five operators act gap-wise and point-wise on profiles:
 Locality lemma.  Before minimization, a gap's new trace depends only on
 its old trace, and a breakpoint's new membership only on its triple (left
 trace, membership, right trace).  Minimization reads only traces and
-memberships too.  So each operator is a map on the *shape* (gaps, pts):
-it yields the image's shape and the indices `keep` of the breakpoints
-that survive, and the breakpoint values merely ride along
-(breaks[j] for j in keep).  Each operator is written once as such a map.
+memberships too.  So each operator is a map on the shape: it yields the
+image's shape and the indices `keep` of the breakpoints that survive, and
+the breakpoint values merely ride along (breaks[j] for j in keep).  Each
+operator is written once as such a map.
 
-Shapes are codes.  The code of a shape is one byte per breakpoint, its
-triple gl*8 + p*4 + gr (left trace, membership, right trace), or the one
-byte 32 + g for a shape with no breakpoint and the trace g.  By the lemma
-each letter is a byte translation: its 256-byte table maps each of the 36
-bytes to the byte of its image, read off one call of _SHAPE_OPS on U's
-unminimized shape (below), which shows all 32 triples and all 4 traces.
-So a letter's image is code.translate(table), one pass in C.
-Minimization deletes the bytes of the four triples (g, natural(g), g),
-_NATURAL_CODES, with one more translate; a dropped byte has one trace on
-both sides, so what is left is again a code (32 + g when nothing is).
-`keep`, the indices of the surviving breakpoints, is computed only when
-some byte was dropped.  _minimize and _from_profile minimize through the
-code too, so minimality has one definition.
+Letters are byte translations: by the lemma, a letter's 256-byte table,
+read off one call of _SHAPE_OPS on U's unminimized shape (below), which
+shows all 32 triples and all 4 traces, maps each byte to the byte of its
+image, so a letter's image is code.translate(table), one pass in C.
+Minimization (_minimal, the only one) deletes the natural bytes with one
+more translate; a dropped byte has one trace on both sides, so what is
+left is again a code (32 + g when nothing is).  `keep`, the indices of
+the surviving breakpoints, is computed only when some byte was dropped.
 
 Shapes are interned (hash-consing): each distinct code is one _Shape
 node, made once through the table _SHAPES, and a node holds its moves,
 letter -> (keep, next node), each computed on first use.  The constants 0
 and 1 are moves too, to the empty or the full shape with no breakpoint
 kept.  A TameSet keeps the node of its shape once it has been walked, and
-an image is built with its node, so `apply_word` encodes and hashes a
-shape at most once per fresh set and then follows one move per letter: no
-Fraction, and no shape tuple, is hashed or compared on the way.  `_walk`
-is that loop: from a node it follows the word's moves and composes their
+an image is built with its node, so `apply_word` hashes a code at most
+once per fresh set and then follows one move per letter: no Fraction is
+hashed or compared on the way, and no shape is converted.  `_walk` is
+that loop: from a node it follows the word's moves and composes their
 keep maps, and `apply_word` selects the image's breakpoints once, at the
-end, decoding the image's node into (gaps, pts) the first time a set is
-made on it; each of the five operators is `apply_word` on its one-letter
-word.  vitali walks the same graph from the refined shape of a plusV or
-minusV set, a node of the same table under a tuple key.  Every node
-carries the epoch it was interned in, and a node starts a walk only while
-that epoch is current (_current).  `_reset_shapes` starts a new epoch with
-empty tables of shapes and of letter translations, so a reset is exact: a
-walk starts only at a node of the current epoch, and a move leads only to
-a node of its own epoch (the table is reset, when it reaches 262,144
-shapes, before a walk and never during one), so moves and translations
-made before a reset (say, under a patched _SHAPE_OPS) are never used
-again, even from nodes that long-lived sets such as U still hold.
+end, and gives the image its node's code; each of the five operators is
+`apply_word` on its one-letter word.  vitali walks the same graph from
+the refined shape of a plusV or minusV set, a node of the same table
+under a tuple key.  Every node carries the epoch it was interned in, and
+a node starts a walk only while that epoch is current (_current).
+`_reset_shapes` starts a new epoch with empty tables of shapes and of
+letter translations, so a reset is exact: a walk starts only at a node of
+the current epoch, and a move leads only to a node of its own epoch (the
+table is reset, when it reaches 262,144 shapes, before a walk and never
+during one), so moves and translations made before a reset (say, under a
+patched _SHAPE_OPS) are never used again, even from nodes that long-lived
+sets such as U still hold.
 
 Universal witness.  By the lemma, the image of a set under a word over
 kicdf01 has, on each gap, a trace that depends only on the gap's trace,
@@ -116,22 +111,19 @@ triple of a rational point inside its joint gap, so the union of the two
 kept tuples (1,008 breakpoints) still shows every triple.
 
 Breakpoints are compared as little as the algebra allows.  Union,
-intersection and inclusion are each one walk, `_merge`, over the two sorted
-breakpoint tuples.  It compares each pair of breakpoints once for equality
-and at most once for order, and emits the combined profile directly: each
-gap's trace through a trace table (_UNION, _INTER, _LE), each breakpoint's
-membership through a bool table (_OR, _AND, _IMPLIES), where a breakpoint
-missing from one side takes that side's natural membership.  The inclusion
-walk also says what a minus b is when it is small: a gap failing _LE is an
-interval or a dense trace of the difference, and with every gap passing
-the difference is exactly the breakpoints failing _IMPLIES.  So
-`difference_points` answers "is a minus b empty, one point or more?" from
-that walk alone, with no complement and no minimized profile, and the
-walk stops at the first gap failing _LE.  `contains`
-bisects the breakpoints.  `from_cells` sorts the cells' endpoints once,
-hashing no Fraction, and fills traces and memberships by index.  A
-TameSet computes its hash on first use, so short-lived intermediate
-profiles that never serve as a cache key hash no Fraction.
+intersection and inclusion are each one walk, `_merge`, over the two
+sorted breakpoint tuples, which compares each pair of breakpoints once
+for equality and at most once for order.  It emits one byte per merged
+breakpoint through the operation's 36 x 36 byte table (_byte_table), a
+breakpoint missing from one side taking that side's natural byte in the
+gap around it, as a rational point inside a gap of U does.  The
+inclusion walk also says what a minus b is when it is small: a gap
+failing _LE is an interval or a dense trace of the difference, and with
+every gap passing the difference is exactly the breakpoints failing
+_IMPLIES.  So `difference_points` answers "is a minus b empty, one point
+or more?" from that walk alone, and the walk stops at the first gap
+failing _LE.  A TameSet computes its hash on first use, so short-lived
+intermediate sets that never serve as a cache key hash no Fraction.
 """
 
 from __future__ import annotations
@@ -141,6 +133,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from operator import getitem
 from typing import Iterable, Sequence
 
 INF = float("inf")
@@ -227,22 +220,17 @@ class Cell:
 class TameSet:
     """A normalized finite union of cells; immutable and hashable."""
 
-    __slots__ = ("breaks", "gaps", "pts", "_hash", "_shape")
+    __slots__ = ("breaks", "code", "_hash", "_shape")
 
-    def __init__(self, breaks, gaps, pts, _trusted=False, _shape=None):
+    def __init__(self, breaks, code, _trusted=False, _shape=None):
         if not _trusted:
             raise TypeError("use from_cells/interval/point/empty/reals constructors")
         self.breaks = breaks
-        self.gaps = gaps
-        self.pts = pts
+        self.code = code
         self._hash = None
         self._shape = _shape
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def _raw(breaks, gaps, pts) -> "TameSet":
-        return TameSet(tuple(breaks), tuple(gaps), tuple(pts), _trusted=True)
 
     @staticmethod
     def from_cells(cells: Iterable[Cell]) -> "TameSet":
@@ -283,22 +271,22 @@ class TameSet:
                     pts[lo] = True
                 if c.hi_closed:
                     pts[hi] = True
-        return _from_profile(breaks, gaps, pts)
+        return _from_code(breaks, _code(gaps, pts))
 
     # -- basic protocol ------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, TameSet) and self.breaks == other.breaks
-                and self.gaps == other.gaps and self.pts == other.pts)
+                and self.code == other.code)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.breaks, self.gaps, self.pts))
+            h = self._hash = hash((self.breaks, self.code))
         return h
 
     def __bool__(self):
-        return any(self.pts) or any(g != NONE for g in self.gaps)
+        return self.code != EMPTY.code
 
     def __repr__(self):
         return f"TameSet({render(self)!r})"
@@ -313,9 +301,8 @@ class TameSet:
         if not isinstance(x, Fraction):
             raise ValueError("membership is decided only at rational points")
         j = bisect_left(self.breaks, x)
-        if j < len(self.breaks) and self.breaks[j] == x:
-            return self.pts[j]
-        return _NATURAL[self.gaps[j]]
+        at = j < len(self.breaks) and self.breaks[j] == x
+        return bool((self.code[j] if at else _natural_byte(self.code, j)) & 4)
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -328,8 +315,9 @@ class TameSet:
         return self == interior(self)
 
     def is_meager(self) -> bool:
-        """Syntactic test: only rational traces and isolated points (countable)."""
-        return all(g in (NONE, RATS) for g in self.gaps)
+        """Syntactic test: only rational traces and isolated points (countable).
+        A FULL or IRRS trace is odd: bit 3 or bit 0 of a byte, bit 0 of 32 + g."""
+        return not any(b & 9 for b in self.code)
 
 
 # -- shape codes (module docstring) -------------------------------------------
@@ -343,24 +331,26 @@ def _code(gaps: Sequence[int], pts: Sequence[bool]) -> bytes:
     return bytes([8 * g + 4 * p + h for g, p, h in zip(gaps, pts, gaps[1:])])
 
 
-# Translation tables to the right trace (b & 3) and to the membership bit
-# (b & 4) of each byte.
-_RIGHT = bytes(range(4)) * 64
-_MEMBER = (bytes(4) + b"\1" * 4) * 32
-
-
 def _decode(code: bytes) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """(gaps, pts) of a code."""
-    first = code[0]
-    if first >= 32:
-        return (first - 32,), ()
-    return (first >> 3, *code.translate(_RIGHT)), tuple(map(bool, code.translate(_MEMBER)))
+    """(gaps, pts) of a code, for rendering."""
+    if code[0] >= 32:
+        return (code[0] - 32,), ()
+    return (code[0] >> 3, *(b & 3 for b in code)), tuple(bool(b & 4) for b in code)
 
 
-# The codes of the triples (g, natural(g), g), which minimization drops, and
-# a table that maps them to 0 and keeps every other byte, which is nonzero.
+# The natural bytes (g, natural(g), g), which minimization drops, and a
+# table that maps them to 0 and keeps every other byte, which is nonzero.
 _NATURAL_CODES = bytes(9 * g + 4 * _NATURAL[g] for g in range(4))
 _KEPT = bytes.maketrans(_NATURAL_CODES, bytes(len(_NATURAL_CODES)))
+# The natural byte of the gap left and right of each byte's breakpoint; of
+# the one gap, for a byte 32 + g.
+_NATURAL_LEFT = bytes(_NATURAL_CODES[b >> 3] for b in range(32)) + _NATURAL_CODES
+_NATURAL_RIGHT = bytes(_NATURAL_CODES[b & 3] for b in range(32)) + _NATURAL_CODES
+
+
+def _natural_byte(code: bytes, j: int) -> int:
+    """The natural byte of gap j of code: the triple of a rational point inside it."""
+    return _NATURAL_LEFT[code[j]] if j < len(code) else _NATURAL_RIGHT[code[-1]]
 
 
 def _minimal(code: bytes):
@@ -375,26 +365,18 @@ def _minimal(code: bytes):
     return keep, kept or bytes((32 + (code[0] >> 3),))
 
 
-def _minimize(gaps: Sequence[int], pts: Sequence[bool]):
-    """(keep, gaps, pts) of the minimal profile: the indices of the surviving
-    breakpoints and the merged traces and memberships.  Reads no breakpoint."""
-    keep, code = _minimal(_code(gaps, pts))
-    if keep is None:
-        return range(len(pts)), tuple(gaps), tuple(pts)
-    return (keep, *_decode(code))
+def _from_code(breaks: Sequence, code: bytes) -> TameSet:
+    """The minimal set of the unminimized code on breaks."""
+    keep, code = _minimal(code)
+    if keep is not None:
+        breaks = map(breaks.__getitem__, keep)
+    return TameSet(tuple(breaks), code, True)
 
 
-def _from_profile(breaks: Sequence, gaps: Sequence[int], pts: Sequence[bool]) -> TameSet:
-    keep, gaps, pts = _minimize(gaps, pts)
-    if len(keep) != len(breaks):
-        breaks = [breaks[j] for j in keep]
-    return TameSet._raw(breaks, gaps, pts)
-
-
-EMPTY = TameSet._raw((), (NONE,), ())
-REALS = TameSet._raw((), (FULL,), ())
-RATIONALS = TameSet._raw((), (RATS,), ())
-IRRATIONALS = TameSet._raw((), (IRRS,), ())
+EMPTY = TameSet((), bytes((32 + NONE,)), True)
+REALS = TameSet((), bytes((32 + FULL,)), True)
+RATIONALS = TameSet((), bytes((32 + RATS,)), True)
+IRRATIONALS = TameSet((), bytes((32 + IRRS,)), True)
 
 
 def _de_bruijn(k: int) -> tuple[int, ...]:
@@ -411,7 +393,7 @@ def _de_bruijn(k: int) -> tuple[int, ...]:
 # breakpoints 21..52, which are members exactly from the 17th on.
 _DE_BRUIJN = _de_bruijn(4)
 _UNIVERSAL_SHAPE = (_DE_BRUIJN * 2 + _DE_BRUIJN[:1], tuple(j >= 16 for j in range(32)))
-UNIVERSAL = _from_profile([Fraction(b) for b in range(21, 53)], *_UNIVERSAL_SHAPE)
+UNIVERSAL = _from_code([Fraction(b) for b in range(21, 53)], _code(*_UNIVERSAL_SHAPE))
 
 
 @lru_cache(maxsize=None)
@@ -426,8 +408,8 @@ def universal_pair() -> tuple[TameSet, TameSet]:
     gaps = joint * 4 + joint[:1]
     breaks = [Fraction(b) for b in range(21, 21 + 4 * len(joint))]
     members = [divmod(j // len(joint), 2) for j in range(len(breaks))]
-    return (_from_profile(breaks, [g // 4 for g in gaps], [m == 1 for m, _ in members]),
-            _from_profile(breaks, [g % 4 for g in gaps], [m == 1 for _, m in members]))
+    return (_from_code(breaks, _code([g // 4 for g in gaps], [m == 1 for m, _ in members])),
+            _from_code(breaks, _code([g % 4 for g in gaps], [m == 1 for _, m in members])))
 
 
 def interval(lo, hi, lo_closed=False, hi_closed=False, density="full") -> TameSet:
@@ -438,66 +420,95 @@ def point(x) -> TameSet:
     return TameSet.from_cells([Cell(x, x, True, True, "full")])
 
 
-# -- profile combinators -------------------------------------------------
+# -- binary operations -----------------------------------------------------
 
 
-def _merge(a: TameSet, b: TameSet, gap_op, pt_op, stop=None):
-    """(breaks, gaps, pts): a and b combined entrywise through the trace
-    table gap_op and the membership table pt_op on their merged breakpoints,
-    unminimized.
+def _byte_table(gap_op, pt_op) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The merge table of an operation as (rows, columns) of translations:
+    rows[x] maps y, and columns[y] maps x, to the byte of the triples x and
+    y combined by the trace table gap_op and the membership table pt_op, or
+    32 + gap_op[g][h] for the bytes 32 + g and 32 + h (no merge mixes them)."""
+    def combine(x, y):
+        if x >= 32 or y >= 32:
+            return 32 + gap_op[x & 3][y & 3]
+        return 8 * gap_op[x >> 3][y >> 3] + 4 * pt_op[x >> 2 & 1][y >> 2 & 1] + gap_op[x & 3][y & 3]
+    table = [[combine(x, y) for y in range(36)] for x in range(36)]
+    return tuple(tuple(bytes(line).ljust(256, b"\0") for line in lines)
+                 for lines in (table, zip(*table)))
 
-    One linear walk of the two strictly increasing tuples: each pair of
-    breakpoints is compared once for equality and at most once for order.
-    A breakpoint missing from one side takes that side's natural membership
-    in the gap around it.  A gap whose entry is `stop` ends the walk there,
-    and _merge returns None (stop=False: the first gap an inclusion fails).
+
+_UNION_TABLE = _byte_table(_UNION, _OR)
+_INTER_TABLE = _byte_table(_INTER, _AND)
+_LE_TABLE = _byte_table(_LE, _IMPLIES)
+# The bytes of _LE_TABLE with a gap that fails the inclusion: a triple whose
+# left (8) or right (1) trace bit is clear, or the byte 32 + False.
+_NOT_LE = frozenset([*(b for b in range(32) if b & 9 != 9), 32])
+
+
+def _merge(a: TameSet, b: TameSet, table, stop=frozenset()):
+    """(breaks, code): a and b combined through the byte table of an
+    operation on their merged breakpoints, unminimized.
+
+    One linear walk of the two strictly increasing tuples (module
+    docstring).  A combined byte in `stop` ends the walk there, and _merge
+    returns None (stop=_NOT_LE: the first gap an inclusion fails).
     """
-    xs, ys = a.breaks, b.breaks
-    gx, px, gy, py = a.gaps, a.pts, b.gaps, b.pts
-    if xs is ys:
-        gaps = [gap_op[g][h] for g, h in zip(gx, gy)]
-        if stop is not None and stop in gaps:
-            return None
-        return xs, gaps, [pt_op[p][q] for p, q in zip(px, py)]
-    breaks, gaps, pts = [], [], []
+    xs, ys, ca, cb = a.breaks, b.breaks, a.code, b.code
+    rows, columns = table
+    if xs is ys or not (xs and ys):  # no breakpoint to compare: one pass
+        if not ys and xs:  # all of a lies in b's one gap
+            code = ca.translate(columns[_NATURAL_LEFT[cb[0]]])
+        elif not xs and ys:
+            xs, code = ys, cb.translate(rows[_NATURAL_LEFT[ca[0]]])
+        else:
+            code = bytes(map(getitem, map(rows.__getitem__, ca), cb))
+        return (xs, code) if stop.isdisjoint(code) else None
+    breaks, code = [], bytearray()
     i = j = 0
     nx, ny = len(xs), len(ys)
-    while i < nx or j < ny:
-        g, h = gx[i], gy[j]
-        gap = gap_op[g][h]
-        if gap is stop:
-            return None
-        gaps.append(gap)
-        if i < nx and j < ny and (xs[i] is ys[j] or xs[i] == ys[j]):
-            breaks.append(xs[i])
-            pts.append(pt_op[px[i]][py[j]])
+    while i < nx and j < ny:
+        x, y = xs[i], ys[j]
+        if x is y or x == y:
+            byte = rows[ca[i]][cb[j]]
             i += 1
             j += 1
-        elif j == ny or i < nx and xs[i] < ys[j]:
-            breaks.append(xs[i])
-            pts.append(pt_op[px[i]][_NATURAL[h]])
+        elif x < y:
+            byte = rows[ca[i]][_NATURAL_LEFT[cb[j]]]
             i += 1
         else:
-            breaks.append(ys[j])
-            pts.append(pt_op[_NATURAL[g]][py[j]])
+            x, byte = y, rows[_NATURAL_LEFT[ca[i]]][cb[j]]
             j += 1
-    gap = gap_op[gx[nx]][gy[ny]]
-    if gap is stop:
+        if byte in stop:
+            return None
+        breaks.append(x)
+        code.append(byte)
+    # The rest of one side lies inside the other's last gap: one translation.
+    if i < nx:
+        tail = ca[i:].translate(columns[_NATURAL_RIGHT[cb[-1]]])
+        breaks += xs[i:]
+    else:
+        tail = cb[j:].translate(rows[_NATURAL_RIGHT[ca[-1]]])
+        breaks += ys[j:]
+    if not stop.isdisjoint(tail):
         return None
-    gaps.append(gap)
-    return breaks, gaps, pts
+    code += tail
+    return breaks, bytes(code)
 
 
 def union(a: TameSet, b: TameSet) -> TameSet:
-    return _from_profile(*_merge(a, b, _UNION, _OR))
+    return _from_code(*_merge(a, b, _UNION_TABLE))
 
 
 def intersect(a: TameSet, b: TameSet) -> TameSet:
-    return _from_profile(*_merge(a, b, _INTER, _AND))
+    return _from_code(*_merge(a, b, _INTER_TABLE))
 
 
 def difference(a: TameSet, b: TameSet) -> TameSet:
     return intersect(a, complement(b))
+
+
+# A translation table to 1 for a byte outside the set, 0 for a member.
+_OUTSIDE = (b"\1" * 4 + bytes(4)) * 32
 
 
 def difference_points(a: TameSet, b: TameSet) -> tuple | None:
@@ -508,13 +519,12 @@ def difference_points(a: TameSet, b: TameSet) -> tuple | None:
     otherwise a minus b is the breakpoints whose memberships fail _IMPLIES,
     () when a is a subset of b.
     """
-    merged = _merge(a, b, _LE, _IMPLIES, stop=False)
+    merged = _merge(a, b, _LE_TABLE, _NOT_LE)
     if merged is None:
         return None
-    breaks, _, pts = merged
-    if all(pts):
-        return ()
-    return tuple(x for x, p in zip(breaks, pts) if not p)
+    breaks, code = merged
+    outside = code.translate(_OUTSIDE)
+    return tuple(compress(breaks, outside)) if any(outside) else ()
 
 
 def is_subset(a: TameSet, b: TameSet) -> bool:
@@ -579,17 +589,15 @@ class _Shape:
     `moves` maps a letter to (keep, next): keep is the indices of the
     breakpoints that survive in the letter's minimal image (None when all
     of them do), and next is the node of the image's shape.  A move is
-    computed once, on first use, by minimizing `image`.  `profile` is the
-    shape as (gaps, pts), decoded when a set is first made on the node.
-    `epoch` is the epoch the node was interned in; a node starts a walk
-    only while that epoch is current (see _current).
+    computed once, on first use, by minimizing `image`.  `epoch` is the
+    epoch the node was interned in; a node starts a walk only while that
+    epoch is current (see _current).
     """
 
-    __slots__ = ("code", "profile", "epoch", "moves")
+    __slots__ = ("code", "epoch", "moves")
 
     def __init__(self, code: bytes):
         self.code = code
-        self.profile = None
         self.epoch = _epoch
         self.moves = {}
 
@@ -609,10 +617,8 @@ _TABLES: dict[str, bytes] = {}
 
 
 def _table(letter: str) -> bytes:
-    """The translation table of a letter, made once per epoch.  By the
-    locality lemma a byte's image depends on the byte alone, so the table is
-    read off one call of _SHAPE_OPS on the unminimized shape of U: its 32
-    bytes are the 32 triples, and its gaps show the 4 traces."""
+    """The translation table of a letter, made once per epoch from U's
+    unminimized shape, whose 32 bytes are the 32 triples (module docstring)."""
     op = _SHAPE_OPS.get(letter)
     if op is None:
         raise ValueError(f"unknown operator letter {letter!r}")
@@ -647,7 +653,7 @@ def _shape_of(s: TameSet) -> _Shape:
     on the first walk after a reset)."""
     node = s._shape
     if not _current(node):
-        node = s._shape = _intern(_code(s.gaps, s.pts))
+        node = s._shape = _intern(s.code)
     return node
 
 
@@ -679,10 +685,7 @@ def _select(breaks: tuple, keep, node: _Shape) -> TameSet:
     breaks when keep is None)."""
     if keep is not None:
         breaks = tuple(map(breaks.__getitem__, keep))
-    profile = node.profile
-    if profile is None:
-        profile = node.profile = _decode(node.code)
-    return TameSet(breaks, *profile, True, node)
+    return TameSet(breaks, node.code, True, node)
 
 
 def closure(s: TameSet) -> TameSet:
@@ -698,25 +701,15 @@ def complement(s: TameSet) -> TameSet:
 
 
 def second_category(s: TameSet) -> TameSet:
-    """The Baire operator d: points whose every neighborhood meets s nonmeagerly.
-
-    Gap-wise: a FULL or IRRS gap is locally nonmeager everywhere in its
-    closed span (for IRRS because a co-countable subset of an interval is
-    comeager there, and nonmeager by the Baire category theorem); a RATS
-    gap and isolated points are countable, hence meager, and vanish.
-    Finite additivity of d makes the gap-wise computation exact.
-    """
+    """The Baire operator d: points whose every neighborhood meets s
+    nonmeagerly, gap-wise by finite additivity (the module docstring's d)."""
     return apply_word("d", s)
 
 
 def frontier(s: TameSet) -> TameSet:
-    """k(s) & k(cs), in one pass over the profile of s.
-
-    A gap lies in both closures exactly when both s and its complement
-    are dense in it, i.e. when its trace is RATS or IRRS.  A breakpoint
-    is in k(s) unless it is outside s with NONE on both sides, and in
-    k(cs) unless it is inside s with FULL on both sides.
-    """
+    """k(s) & k(cs), in one pass over the shape of s (the module docstring's
+    f): a breakpoint is in k(s) unless it is outside s with NONE on both
+    sides, and in k(cs) unless it is inside s with FULL on both sides."""
     return apply_word("f", s)
 
 
@@ -747,17 +740,18 @@ def _fmt(x) -> str:
 def _cells(s: TameSet) -> tuple[Cell, ...]:
     bs: list = [NEG_INF, *s.breaks, INF]
     n = len(s.breaks)
+    gaps, pts = _decode(s.code)
     out: list[Cell] = []
     for j in range(n + 1):
-        if j > 0 and s.pts[j - 1] and s.gaps[j - 1] != FULL and s.gaps[j] != FULL:
+        if j > 0 and pts[j - 1] and gaps[j - 1] != FULL and gaps[j] != FULL:
             out.append(Cell(bs[j], bs[j], True, True, "full"))
-        g = s.gaps[j]
+        g = gaps[j]
         if g == NONE:
             continue
         lo, hi = bs[j], bs[j + 1]
         if g == FULL:
-            lo_cl = j > 0 and s.pts[j - 1] and s.gaps[j - 1] != FULL
-            hi_cl = j < n and s.pts[j]
+            lo_cl = j > 0 and pts[j - 1] and gaps[j - 1] != FULL
+            hi_cl = j < n and pts[j]
             out.append(Cell(lo, hi, lo_cl, hi_cl, "full"))
         else:
             out.append(Cell(lo, hi, False, False, DENSITY_NAMES[g]))

@@ -53,13 +53,15 @@ plusV or minusV set walks from its refined shape:
     sets is all or nothing on a frame gap, a gap's label holds for every
     point inside it, and on a gap W0 is kW0; W0 at a point decides no
     letter, so it is not recorded.
-  * The refined profile of a set is its base's profile on the union of
-    the base's and the frame's breakpoints, unminimized, each gap and
-    point labelled by the frame.  It is made once, by one merge, and the
-    set keeps it (SymbolicSet._refined); its code (realsets' shape
-    codes), the three masks of its labels and its mode are one interned
-    node (_VShape) in realsets' table, so the epoch,
-    realsets._reset_shapes and the table's bound cover it too.
+  * The refined shape of a set is its base on the union of the base's
+    and the frame's breakpoints, unminimized, each gap and point
+    labelled by the frame: its code is the base's code with the natural
+    byte of its gap inserted at each frame point the base lacks.  It is
+    made once, by one walk of the frame, and the set keeps its
+    breakpoints and node (SymbolicSet._refined); the code, the three
+    masks of its labels and its mode are one interned node (_VShape) in
+    realsets' table, so the epoch, realsets._reset_shapes and the
+    table's bound cover it too.
   * The masks are ints over the bytes of the refined code.  The kW1 and
     kW0 masks are the codes of kW1 and kW0 there: FULL gaps and member
     points where the label holds the set.  The W1 mask has the membership
@@ -67,8 +69,8 @@ plusV or minusV set walks from its refined shape:
     a refined breakpoint inside each frame gap and at each frame point,
     so refining a set appends bytes, and every third one is one mask's.
 
-On the refined profile every letter is local, as realsets' operators are
-on a plain profile (its locality lemma): the image's trace on a gap reads
+On the refined shape every letter is local, as realsets' operators are
+on a plain shape (its locality lemma): the image's trace on a gap reads
 only the gap's base trace and label, and its membership at a point only
 the point's base triple and label.  So by the bullets above each letter
 is a byte operation on the code, on top of its realsets translation:
@@ -100,9 +102,9 @@ A tame image is minimized into a plain realsets node, whose keep indices
 point into the refined breakpoints, and the walk goes on there.  So the
 letters applied while the image is plusV or minusV are a run of c's and
 one more letter, the only one that can be undecidable.  That walk is
-exact: each move gives, up to minimization, the profile the case analysis
+exact: each move gives, up to minimization, the shape the case analysis
 above gives letter by letter, and by the locality lemma composing the
-moves and their keep maps gives the very profile the fold builds.
+moves and their keep maps gives the very set the fold builds.
 
 A subset test A in B is the three-valued AND of an off-V question and an
 on-V question.  Off V every mode equals its base, so the off-V question is
@@ -254,7 +256,7 @@ MODE_MINUS = "minusV"
 class SymbolicSet:
     """tame(base), plusV(base) or minusV(base); immutable by convention, like
     TameSet, and equal when base, mode and params are equal.  The refined
-    profile that a plusV or minusV set keeps is ignored by equality and
+    shape that a plusV or minusV set keeps is ignored by equality and
     hashing, as TameSet ignores its shape node."""
 
     __slots__ = ("base", "mode", "params", "_refined")
@@ -264,7 +266,7 @@ class SymbolicSet:
         self.base = base
         self.mode = mode
         self.params = params
-        self._refined = None  # (breaks, node) of the refined profile, see _refinement
+        self._refined = None  # (breaks, node) of the refined shape, see _refinement
 
     def __eq__(self, other):
         if other.__class__ is not SymbolicSet:
@@ -316,38 +318,35 @@ def _params_of(*sets: SymbolicSet) -> VitaliParams:
 
 
 def _refine(base: TameSet, frame):
-    """(breaks, code, kW1 mask, kW0 mask, W1 mask): the profile of base on
-    its breakpoints and the frame's, unminimized, as a shape code, and the
-    int masks of its frame labels.  Each frame point is placed by one
-    bisection of base's breakpoints; a point inside a frame gap takes the
-    gap's label, so each refined breakpoint appends the three mask bytes
-    the frame holds for its place, and every third byte is one mask."""
+    """(breaks, code, kW1 mask, kW0 mask, W1 mask): base on its breakpoints
+    and the frame's, unminimized, and the int masks of its frame labels.
+    Each frame point is placed by one bisection of base's breakpoints; base's
+    bytes are copied by slice, a frame point base lacks gets the natural byte
+    of its gap, and each refined breakpoint appends the three mask bytes the
+    frame holds for its place, so every third byte is one mask."""
     fb, inside, at, whole = frame
-    xs, gs, ps = base.breaks, base.gaps, base.pts
-    breaks, pts, gaps, masks = [], [], [gs[0]], bytearray()
+    xs, base_code = base.breaks, base.code
+    breaks, code, masks = [], bytearray(), bytearray()
     i = 0
     for j in range(len(fb) + 1):
         # Base points i..hi-1 lie inside frame gap j.
         hi = bisect_left(xs, fb[j], i) if j < len(fb) else len(xs)
         breaks += xs[i:hi]
-        pts += ps[i:hi]
-        gaps += gs[i + 1:hi + 1]
+        code += base_code[i:hi]
         masks += inside[j] * (hi - i)
         i = hi
         if j == len(fb):
             break
         x = fb[j]
         if i < len(xs) and xs[i] == x:
-            pts.append(ps[i])
+            code.append(base_code[i])
             i += 1
         else:
-            pts.append(realsets._NATURAL[gs[i]])
+            code.append(realsets._natural_byte(base_code, i))
         breaks.append(x)
         masks += at[j]
-        gaps.append(gs[i])
-    masks = masks or whole
-    return (tuple(breaks), realsets._code(gaps, pts),
-            *(int.from_bytes(masks[m::3], "big") for m in range(3)))
+    return (tuple(breaks), bytes(code) or base_code,
+            *(int.from_bytes((masks or whole)[m::3], "big") for m in range(3)))
 
 
 # A translation table that keeps the byte (NONE, member, NONE) of an
@@ -358,7 +357,7 @@ _ISOLATED = bytes(b if b == _ISOLATED_MEMBER else 0 for b in range(256))
 
 class _Stuck(Exception):
     """k met an isolated member point inside W1 at `index` of the refined
-    profile: whether it is V's rational point is undecidable."""
+    shape: whether it is V's rational point is undecidable."""
 
     def __init__(self, index: int):
         super().__init__(index)
@@ -367,7 +366,7 @@ class _Stuck(Exception):
 
 class _VShape(realsets._Shape):
     """One interned refined shape of a plusV or minusV set (module docstring):
-    the code of the base's traces and memberships on the refined profile,
+    the code of the base's traces and memberships on the refined shape,
     the masks of their frame labels and the mode.  c moves to the node of
     the other mode; every other letter moves to a plain realsets node, whose
     keep indices point into the refined breakpoints.  `minimal` is the
@@ -424,7 +423,7 @@ class _VShape(realsets._Shape):
 
 
 def _refinement(s: SymbolicSet):
-    """(breaks, node) of the refined profile of the plusV or minusV set s,
+    """(breaks, node) of the refined shape of the plusV or minusV set s,
     made on the first walk of s and interned again after a reset."""
     refined = s._refined
     if realsets._current(None if refined is None else refined[1]):
@@ -493,7 +492,7 @@ def _disjoint_from_v(r: TameSet, params: VitaliParams):
     rw = intersect(r, params.w1)
     if rw.is_empty():
         return True
-    if any(g in (realsets.FULL, realsets.IRRS) for g in rw.gaps):
+    if not rw.is_meager():
         return False  # V (even minus its one rational) is dense in W1
     return None  # rational traces / points may or may not catch V's rational
 

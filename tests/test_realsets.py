@@ -29,6 +29,16 @@ def rnd(n=300, start=0):
     return [random_tame(start + j, 4) for j in range(n)]
 
 
+def _raw(breaks, code):
+    """The set of code on breaks, as given: not necessarily minimal."""
+    return TameSet(tuple(breaks), code, True)
+
+
+def _from_profile(breaks, gaps, pts):
+    """The minimal set of the profile (gaps, pts) on breaks."""
+    return realsets._from_code(breaks, realsets._code(gaps, pts))
+
+
 # -- normalization -------------------------------------------------------------
 
 
@@ -192,22 +202,24 @@ def _shape(a, b):
     return "interleaved"
 
 
-# (trace table, membership table) of union, intersection and inclusion.
-TABLE_PAIRS = ((realsets._UNION, realsets._OR), (realsets._INTER, realsets._AND),
-               (realsets._LE, realsets._IMPLIES))
+# (byte table, trace table, membership table) of union, intersection and
+# inclusion.
+TABLE_PAIRS = ((realsets._UNION_TABLE, realsets._UNION, realsets._OR),
+               (realsets._INTER_TABLE, realsets._INTER, realsets._AND),
+               (realsets._LE_TABLE, realsets._LE, realsets._IMPLIES))
 
 
 def test_combinators_match_cell_normalization():
     shapes = set()
     for a, b in _pairs():
         shapes.add(_shape(a, b))
-        for gap_op, pt_op in TABLE_PAIRS:
-            merged = realsets._merge(a, b, gap_op, pt_op)[0]
+        for table, _, _ in TABLE_PAIRS:
+            merged = realsets._merge(a, b, table)[0]
             assert list(merged) == sorted(set(a.breaks) | set(b.breaks))
         # The inclusion walk stops at its first failing gap, and only there.
-        full = realsets._merge(a, b, realsets._LE, realsets._IMPLIES)
-        stopped = realsets._merge(a, b, realsets._LE, realsets._IMPLIES, stop=False)
-        assert stopped == (full if all(full[1]) else None)
+        full = realsets._merge(a, b, realsets._LE_TABLE)
+        stopped = realsets._merge(a, b, realsets._LE_TABLE, realsets._NOT_LE)
+        assert stopped == (full if all(realsets._decode(full[1])[0]) else None)
         assert union(a, b) == TameSet.from_cells(a.cells + b.cells)
         assert intersect(a, b) == complement(
             TameSet.from_cells(complement(a).cells + complement(b).cells))
@@ -221,10 +233,11 @@ def test_difference_points_match_the_built_difference():
     for a, b in _pairs() + [(u_s, u_t), (u_t, u_s)]:
         got = realsets.difference_points(a, b)
         r = difference(a, b)
-        if any(g != realsets.NONE for g in r.gaps):
+        gaps, pts = realsets._decode(r.code)
+        if any(g != realsets.NONE for g in gaps):
             assert got is None, (a, b)
         else:
-            assert got == tuple(x for x, p in zip(r.breaks, r.pts) if p), (a, b)
+            assert got == tuple(x for x, p in zip(r.breaks, pts) if p), (a, b)
         assert is_subset(a, b) == (got == ())
         sizes.add(None if got is None else min(len(got), 2))
     assert sizes == {None, 0, 1, 2}
@@ -256,23 +269,23 @@ def _merged_breaks_by_scan(a, b):
 
 
 def _expand_by_scan(s, breaks):
+    s_gaps, s_pts = realsets._decode(s.code)
     gaps, pts = [], []
     j = 0
     for b in breaks:
-        gaps.append(s.gaps[j])
+        gaps.append(s_gaps[j])
         if j < len(s.breaks) and b == s.breaks[j]:
-            pts.append(s.pts[j])
+            pts.append(s_pts[j])
             j += 1
         else:
-            pts.append(realsets._NATURAL[s.gaps[j]])
-    gaps.append(s.gaps[j])
+            pts.append(realsets._NATURAL[s_gaps[j]])
+    gaps.append(s_gaps[j])
     return gaps, pts
 
 
 def _fresh(s):
     """s with every breakpoint a new Fraction object equal to the old one."""
-    return TameSet._raw([Fraction(b.numerator, b.denominator) for b in s.breaks],
-                        s.gaps, s.pts)
+    return _raw([Fraction(b.numerator, b.denominator) for b in s.breaks], s.code)
 
 
 def _aligned_pairs():
@@ -280,8 +293,7 @@ def _aligned_pairs():
     pairs = list(zip(sets, sets[1:]))
     pairs += [(s, s) for s in sets[:20]]
     # A different tuple holding the very same breakpoint objects.
-    pairs += [(s, TameSet._raw(list(s.breaks), complement(s).gaps, complement(s).pts))
-              for s in sets[20:40]]
+    pairs += [(s, _raw(list(s.breaks), complement(s).code)) for s in sets[20:40]]
     # Equal breakpoints that are different Fraction objects.
     pairs += [(s, _fresh(union(s, t))) for s, t in zip(sets[40:80], sets[80:120])]
     pairs += [(_fresh(s), s) for s in sets[120:140]]
@@ -306,8 +318,9 @@ def test_aligned_walk_matches_merge_then_expand():
         assert list(expected) == sorted(set(a.breaks) | set(b.breaks))
         ga, pa = _expand_by_scan(a, expected)
         gb, pb = _expand_by_scan(b, expected)
-        for gap_op, pt_op in TABLE_PAIRS:
-            breaks, gaps, pts = realsets._merge(a, b, gap_op, pt_op)
+        for table, gap_op, pt_op in TABLE_PAIRS:
+            breaks, code = realsets._merge(a, b, table)
+            gaps, pts = realsets._decode(code)
             assert list(breaks) == list(expected)
             assert list(gaps) == [gap_op[x][y] for x, y in zip(ga, gb)]
             assert list(pts) == [pt_op[x][y] for x, y in zip(pa, pb)]
@@ -335,7 +348,7 @@ def _from_cells_by_scan(cells):
         return False
 
     pts = [any(contains(c, b) for c in cells) for b in breaks]
-    return realsets._from_profile(breaks, gaps, pts)
+    return _from_profile(breaks, gaps, pts)
 
 
 def _random_cells(rng):
@@ -392,7 +405,7 @@ def test_hash_is_computed_on_first_use():
     s = union(interval(0, 1), point(3))
     assert s._hash is None
     h = hash(s)
-    assert h == hash((s.breaks, s.gaps, s.pts)) == s._hash
+    assert h == hash((s.breaks, s.code)) == s._hash
     assert hash(TameSet.from_cells(s.cells)) == h
 
 
@@ -455,8 +468,9 @@ def _minimize_by_rule(gaps, pts):
 @example(([1, 1], [False]))  # a FULL gap with one missing point: kept
 def test_minimize_follows_the_minimality_rule(shape):
     gaps, pts = shape
-    keep, min_gaps, min_pts = realsets._minimize(gaps, pts)
-    assert (list(keep), min_gaps, min_pts) == _minimize_by_rule(gaps, pts)
+    keep, code = realsets._minimal(realsets._code(gaps, pts))
+    keep = range(len(pts)) if keep is None else keep
+    assert (list(keep), *realsets._decode(code)) == _minimize_by_rule(gaps, pts)
 
 
 def _kept(img, s):
@@ -472,14 +486,15 @@ def test_each_letter_acts_on_the_shape_alone(drawn):
     gaps, pts, (xs, ys) = drawn
     # The drawn profile need not be minimal, so every (trace, membership,
     # trace) triple occurs; minimization is itself a map on the shape.
-    raw_a, raw_b = TameSet._raw(xs, gaps, pts), TameSet._raw(ys, gaps, pts)
-    a, b = realsets._from_profile(xs, gaps, pts), realsets._from_profile(ys, gaps, pts)
-    assert (a.gaps, a.pts) == (b.gaps, b.pts)
+    code = realsets._code(gaps, pts)
+    raw_a, raw_b = _raw(xs, code), _raw(ys, code)
+    a, b = _from_profile(xs, gaps, pts), _from_profile(ys, gaps, pts)
+    assert a.code == b.code
     assert _kept(a, raw_a) == _kept(b, raw_b)
     for s, t in ((raw_a, raw_b), (a, b)):
         for letter in "kicdf":
             ia, ib = apply_word(letter, s), apply_word(letter, t)
-            assert (ia.gaps, ia.pts) == (ib.gaps, ib.pts), letter
+            assert ia.code == ib.code, letter
             assert _kept(ia, s) == _kept(ib, t), letter
 
 
@@ -488,7 +503,8 @@ def test_each_letter_acts_on_the_shape_alone(drawn):
 def test_interior_and_frontier_identities_on_drawn_shapes(drawn):
     gaps, pts, placements = drawn
     for xs in placements:
-        for s in (TameSet._raw(xs, gaps, pts), realsets._from_profile(xs, gaps, pts)):
+        for s in (_raw(xs, realsets._code(gaps, pts)),
+                  _from_profile(xs, gaps, pts)):
             assert interior(s) == complement(closure(complement(s)))
             assert frontier(s) == intersect(closure(s), closure(complement(s)))
 
@@ -512,16 +528,17 @@ def test_apply_word_walks_like_the_letter_fold():
 
 def _fold(word, s):
     """The image of s under word, letter by letter through _SHAPE_OPS and
-    _minimize, with the breakpoints selected through the composed keep maps."""
-    start, gaps, pts, keep = s, s.gaps, s.pts, range(len(s.breaks))
+    _minimize_by_rule, with the breakpoints selected through the composed
+    keep maps."""
+    start, (gaps, pts), keep = s, realsets._decode(s.code), range(len(s.breaks))
     for ch in reversed(word):
         if ch in "01":
             start = realsets.EMPTY if ch == "0" else realsets.REALS
-            gaps, pts, keep = start.gaps, start.pts, ()
+            (gaps, pts), keep = realsets._decode(start.code), ()
             continue
-        step, gaps, pts = realsets._minimize(*realsets._SHAPE_OPS[ch](gaps, pts))
+        step, gaps, pts = _minimize_by_rule(*realsets._SHAPE_OPS[ch](gaps, pts))
         keep = [keep[j] for j in step]
-    return TameSet._raw([start.breaks[j] for j in keep], gaps, pts)
+    return _raw([start.breaks[j] for j in keep], realsets._code(gaps, pts))
 
 
 def _interned_moves():
@@ -533,11 +550,11 @@ def _interned_moves():
 def test_interned_walk_is_the_letter_fold(drawn, word):
     gaps, pts, (xs, _) = drawn
     realsets._reset_shapes()
-    for s in (TameSet._raw(xs, gaps, pts), realsets._from_profile(xs, gaps, pts)):
+    for s in (_raw(xs, realsets._code(gaps, pts)), _from_profile(xs, gaps, pts)):
         img = apply_word(word, s)
         assert img == _fold(word, s), (word, s)
         assert img._shape.epoch == realsets._epoch
-        assert img._shape.code == realsets._code(img.gaps, img.pts)
+        assert img._shape.code == img.code
         if "0" not in word and "1" not in word and img == s:
             assert img is s, word
         interned = _interned_moves()
@@ -562,7 +579,8 @@ def test_a_reset_forgets_moves_computed_under_another_operator(monkeypatch):
     finally:
         monkeypatch.undo()
         realsets._reset_shapes()
-    assert patched == realsets._from_profile(u.breaks, *d_that_fills_every_nonempty_gap(u.gaps, u.pts))
+    assert patched == _from_profile(
+        u.breaks, *d_that_fills_every_nonempty_gap(*realsets._decode(u.code)))
     assert patched != original
     assert apply_word("d", u) == original
 
@@ -578,7 +596,7 @@ def tame_sets(draw):
     n = len(numerators)
     gaps = draw(st.lists(st.sampled_from(range(4)), min_size=n + 1, max_size=n + 1))
     pts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return realsets._from_profile([Fraction(m, 2) for m in numerators], gaps, pts)
+    return _from_profile([Fraction(m, 2) for m in numerators], gaps, pts)
 
 
 @LOCAL
@@ -609,7 +627,8 @@ def test_kuratowski_and_baire_laws(a, b):
 
 def _spelled_out(s, breaks):
     """(gaps, pts) of s on a superset of its breakpoints, read by scanning."""
-    gaps = [s.gaps[bisect_right(s.breaks, lo)] for lo in [realsets.NEG_INF, *breaks]]
+    s_gaps = realsets._decode(s.code)[0]
+    gaps = [s_gaps[bisect_right(s.breaks, lo)] for lo in [realsets.NEG_INF, *breaks]]
     return gaps, [s.contains(b) for b in breaks]
 
 

@@ -222,6 +222,28 @@ def test_6_checks_pb_rules_only_on_baire_property_sets():
     assert check.status == "pass", check.details
 
 
+def test_6_reports_the_undecidable_instances_it_skips(monkeypatch):
+    # Every BASE-tier rule is evaluated on the three V-mode named sets (A22,
+    # V, cV); each evaluation there is one skip, which 6 counts, not fails.
+    real = verify.apply_word
+
+    def undecidable_off_tame(word, s):
+        if not s.is_tame():
+            raise Undecidable("injected")
+        return real(word, s)
+
+    monkeypatch.setattr(verify, "apply_word", undecidable_off_tame)
+    check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
+    base_tier = [r for r in dict.fromkeys(BASE.rules + PB.rules) if r.tier != "PB"]
+    assert len(base_tier) == 56
+    assert (check.status, check.details) == ("pass", "168 undecidable instances skipped")
+
+
+def test_6_reports_no_skips_when_every_instance_is_decided():
+    check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
+    assert (check.status, check.details) == ("pass", "")
+
+
 def _criterion_10(full=FULL):
     return _checks(verify.check_rewrite_semantics, DEFAULT_PARAMS, full)["10-rewrite-semantics"]
 
@@ -265,6 +287,15 @@ def test_10_fails_on_a_pb_rule_in_base_on_a_v_mode_set():
     check = _criterion_10(_full(AxiomSystem("BASE+dc", (pb_rule,) + BASE.rules)))
     assert check.status == "fail"
     assert check.details == f"BASE+dc: dc = cid fails on {render_symbolic(plus_v(UNIVERSAL))}"
+
+
+def test_10_counts_each_undecidable_input_once(monkeypatch):
+    # U is 10's first input and no longer also its witness: the BASE edges
+    # have six inputs (U and five V-mode sets) and the PB edges one.
+    monkeypatch.setattr(verify, "apply_word", _undecidable)
+    check = _criterion_10()
+    assert check.status == "fail"
+    assert check.details == "BASE: 6 instances undecidable; PB: 1 instances undecidable"
 
 
 def test_a_passing_criterion_10_calls_neither_normalize_nor_random_tame(monkeypatch):
@@ -624,7 +655,7 @@ def test_an_identity_skips_undecidable_sets():
 
 
 def _shape(s):
-    return s.base.gaps, s.base.pts
+    return s.base.code
 
 
 def test_an_identity_does_not_remember_disagreements():

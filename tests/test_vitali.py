@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_realsets import _from_profile
 from topomonoid import realsets, vitali
 from topomonoid.corpus import build_corpus, random_tame, witness
 from topomonoid.monoid import enumerate_monoid
@@ -230,9 +231,10 @@ def _subset_of_v(r, params):
     """Is the tame remainder r a subset of V?  True/False/None(undecidable)."""
     if r.is_empty():
         return True
-    if any(g != realsets.NONE for g in r.gaps):
+    gaps, pts = realsets._decode(r.code)
+    if any(g != realsets.NONE for g in gaps):
         return False  # any interval or trace holds two points of one coset
-    points = [b for j, b in enumerate(r.breaks) if r.pts[j]]
+    points = [b for j, b in enumerate(r.breaks) if pts[j]]
     if len(points) > 1:
         return False  # two rationals share the coset Q; V holds at most one
     if not params.w1.contains(points[0]):
@@ -339,7 +341,7 @@ def _counting_realsets(monkeypatch, *names):
     (union(interval(0, 1), point(Fraction(17, 2))), interval(0, 1), None),  # inside W1
 ], ids=["interval", "two-points", "point-off-w1", "point-in-w1"])
 def test_a_tame_inclusion_that_fails_is_one_merge_walk(monkeypatch, a, b, expected):
-    calls = _counting_realsets(monkeypatch, "_merge", "_from_profile")
+    calls = _counting_realsets(monkeypatch, "_merge", "_from_code")
     try:
         got = sym_subset(tame(a), tame(b))
     except Undecidable:
@@ -441,9 +443,9 @@ def test_complement_of_a_plus_or_minus_v_set_never_collapses(params):
 
 def _isolated_points(base):
     """The breakpoints of a tame set that lie in it with no trace on either side."""
+    gaps, pts = realsets._decode(base.code)
     return tuple(b for j, b in enumerate(base.breaks)
-                 if base.pts[j] and base.gaps[j] == realsets.NONE
-                 and base.gaps[j + 1] == realsets.NONE)
+                 if pts[j] and gaps[j] == realsets.NONE and gaps[j + 1] == realsets.NONE)
 
 
 def _sym_apply_by_cases(letter, s):
@@ -501,7 +503,7 @@ def _every_adjacent_pair(lo, step):
     Bruijn walk over the four traces), with breakpoints alternately in and out."""
     traces = [0, 0, 1, 0, 2, 0, 3, 1, 1, 2, 1, 3, 2, 2, 3, 3, 0]
     breaks = [lo + step * j for j in range(16)]
-    return realsets._from_profile(breaks, traces, [j % 2 == 0 for j in range(16)])
+    return _from_profile(breaks, traces, [j % 2 == 0 for j in range(16)])
 
 
 @pytest.mark.parametrize("params", [
@@ -545,6 +547,34 @@ def test_apply_word_matches_the_uncached_fold(params):
     assert undecidable > 0
 
 
+def test_walks_and_inclusions_convert_no_shape(monkeypatch):
+    # A set and its images hold their shapes as codes only: walking words
+    # from built sets, and comparing the images, neither encodes nor
+    # decodes a shape.  The letter tables of the epoch are made first.
+    for ch in "kicdf01":
+        realsets.apply_word(ch, realsets.UNIVERSAL)
+    bases = [random_tame(9500 + j, 5) for j in range(40)]
+    sets = [make(base) for base in bases for make in (tame, plus_v, minus_v)]
+    words = ["c", "k", "ck", "fkic", "dcdf", "i1c", "cfcdkicdfc"]
+
+    def forbidden(*args):
+        raise AssertionError("a shape was converted")
+
+    monkeypatch.setattr(realsets, "_decode", forbidden)
+    monkeypatch.setattr(realsets, "_code", forbidden)
+    images = []
+    for s in sets:
+        for w in words:
+            try:
+                images.append(apply_word(w, s))
+            except Undecidable:
+                pass
+    # sym_subset's answers; an Undecidable one would render its message.
+    answers = {vitali._subset3(a, b) for a, b in zip(images, images[1:])}
+    assert {True, False} <= answers
+    assert {s.mode for s in images} == {"tame", "plusV", "minusV"}
+
+
 def test_apply_word_returns_an_unchanged_tame_input_itself():
     s = tame(interval(0, 1, True, True))
     assert apply_word("", s) is s
@@ -570,8 +600,8 @@ def test_a_reset_forgets_the_moves_of_plus_v_sets(monkeypatch):
     finally:
         monkeypatch.undo()
         realsets._reset_shapes()
-    expected = union(realsets._from_profile(base.breaks, *k_that_keeps_only_full_gaps(
-        base.gaps, base.pts)), vitali.DEFAULT_PARAMS.kw1)
+    expected = union(_from_profile(base.breaks, *k_that_keeps_only_full_gaps(
+        *realsets._decode(base.code))), vitali.DEFAULT_PARAMS.kw1)
     assert patched == [tame(expected)] * 2
     assert render_symbolic(patched[0]) == "(0,1) u [8,10]"
     assert apply_word("k", s) == original
