@@ -428,11 +428,9 @@ def _byte_table(gap_op, pt_op) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     rows[x] maps y, and columns[y] maps x, to the byte of the triples x and
     y combined by the trace table gap_op and the membership table pt_op, or
     32 + gap_op[g][h] for the bytes 32 + g and 32 + h (no merge mixes them)."""
-    def combine(x, y):
-        if x >= 32 or y >= 32:
-            return 32 + gap_op[x & 3][y & 3]
-        return 8 * gap_op[x >> 3][y >> 3] + 4 * pt_op[x >> 2 & 1][y >> 2 & 1] + gap_op[x & 3][y & 3]
-    table = [[combine(x, y) for y in range(36)] for x in range(36)]
+    table = [[32 + gap_op[x & 3][y & 3] if x >= 32 or y >= 32 else
+              8 * gap_op[x >> 3][y >> 3] + 4 * pt_op[x >> 2 & 1][y >> 2 & 1] + gap_op[x & 3][y & 3]
+              for y in range(36)] for x in range(36)]
     return tuple(tuple(bytes(line).ljust(256, b"\0") for line in lines)
                  for lines in (table, zip(*table)))
 
