@@ -47,9 +47,8 @@ evaluate every input.  5c's one input is V, which must refute each
 equality itself.  8's inputs are the six named witnesses, three of them
 small tame sets (corpus_relation has the argument that the order is
 unchanged).  10's first input is U, so an edge undecidable there is one
-skip.  An
-undecidable instance is a skip in 5a, in 6's rule table and in 8's
-corpus order, and a failure everywhere else.
+skip.  An undecidable instance is a skip in 5a, in 6's rule table and
+in 8's corpus order, and a failure everywhere else.
 Like 5b's equalities, 6's PB-tier rules are checked on Baire-property
 sets.
 
