@@ -107,11 +107,11 @@ def random_tame(seed: int, n: int = 4) -> TameSet:
     A drawn grid value num/den has den <= _MAX_DEN, which divides
     _KEY_SCALE, so num * (_KEY_SCALE // den) is an exact integer key: the
     draws are sorted and told apart by their keys, and a Fraction is made
-    only for a breakpoint of the result.  Consecutive points bound the
-    cells, so cell j writes the one gap trace gaps[j + 1] and the
-    memberships of its ends, and the shape over all drawn points is
-    minimized as a code.  The rng is called as when each grid value was a
-    Fraction and each cell a Cell, so a seed gives the same set as ever.
+    once per distinct point.  Consecutive points bound the cells, so cell j
+    writes the one gap trace gaps[j + 1] and the memberships of its ends,
+    and the code of the shape over all drawn points is minimized.  The rng
+    is called as when each grid value was a Fraction and each cell a Cell,
+    so a seed gives the same set as it always did.
     """
     if n < 1:
         raise ValueError("cell bound must be at least 1")
@@ -143,9 +143,8 @@ def random_tame(seed: int, n: int = 4) -> TameSet:
             gaps[j + 1] = IRRS
     if m == 1:  # no cell: the one point
         pts[0] = True
-    keep, code = realsets._minimal(realsets._code(gaps, pts))
-    return TameSet(tuple(Fraction(points[j][1], points[j][2])
-                         for j in (range(m) if keep is None else keep)), code, True)
+    return realsets._from_code([Fraction(num, den) for _, num, den in points],
+                               realsets._code(gaps, pts))
 
 
 # -- DSL parsing ---------------------------------------------------------------

@@ -427,12 +427,14 @@ def _byte_table(gap_op, pt_op) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     """The merge table of an operation as (rows, columns) of translations:
     rows[x] maps y, and columns[y] maps x, to the byte of the triples x and
     y combined by the trace table gap_op and the membership table pt_op, or
-    32 + gap_op[g][h] for the bytes 32 + g and 32 + h (no merge mixes them)."""
+    32 + gap_op[x & 3][y & 3] when either is a byte 32 + g (no breakpoint).
+    A symmetric operation (union, intersection) has its rows for columns."""
     table = [[32 + gap_op[x & 3][y & 3] if x >= 32 or y >= 32 else
               8 * gap_op[x >> 3][y >> 3] + 4 * pt_op[x >> 2 & 1][y >> 2 & 1] + gap_op[x & 3][y & 3]
               for y in range(36)] for x in range(36)]
-    return tuple(tuple(bytes(line).ljust(256, b"\0") for line in lines)
-                 for lines in (table, zip(*table)))
+    rows, columns = (tuple(bytes(line).ljust(256, b"\0") for line in lines)
+                     for lines in (table, zip(*table)))
+    return rows, rows if columns == rows else columns
 
 
 _UNION_TABLE = _byte_table(_UNION, _OR)
@@ -453,13 +455,8 @@ def _merge(a: TameSet, b: TameSet, table, stop=frozenset()):
     """
     xs, ys, ca, cb = a.breaks, b.breaks, a.code, b.code
     rows, columns = table
-    if xs is ys or not (xs and ys):  # no breakpoint to compare: one pass
-        if not ys and xs:  # all of a lies in b's one gap
-            code = ca.translate(columns[_NATURAL_LEFT[cb[0]]])
-        elif not xs and ys:
-            xs, code = ys, cb.translate(rows[_NATURAL_LEFT[ca[0]]])
-        else:
-            code = bytes(map(getitem, map(rows.__getitem__, ca), cb))
+    if xs is ys:
+        code = bytes(map(getitem, map(rows.__getitem__, ca), cb))
         return (xs, code) if stop.isdisjoint(code) else None
     breaks, code = [], bytearray()
     i = j = 0
@@ -480,7 +477,8 @@ def _merge(a: TameSet, b: TameSet, table, stop=frozenset()):
             return None
         breaks.append(x)
         code.append(byte)
-    # The rest of one side lies inside the other's last gap: one translation.
+    # The rest of one side (all of it, if the other has no breakpoint) lies
+    # inside the other's last gap: one translation.
     if i < nx:
         tail = ca[i:].translate(columns[_NATURAL_RIGHT[cb[-1]]])
         breaks += xs[i:]
@@ -615,8 +613,10 @@ _TABLES: dict[str, bytes] = {}
 
 
 def _table(letter: str) -> bytes:
-    """The translation table of a letter, made once per epoch from U's
-    unminimized shape, whose 32 bytes are the 32 triples (module docstring)."""
+    """The translation table of a letter, made once per epoch.  By the
+    locality lemma a byte's image depends on the byte alone, so the table is
+    read off one call of _SHAPE_OPS on the unminimized shape of U: its 32
+    bytes are the 32 triples, and its gaps show the 4 traces."""
     op = _SHAPE_OPS.get(letter)
     if op is None:
         raise ValueError(f"unknown operator letter {letter!r}")
@@ -699,15 +699,25 @@ def complement(s: TameSet) -> TameSet:
 
 
 def second_category(s: TameSet) -> TameSet:
-    """The Baire operator d: points whose every neighborhood meets s
-    nonmeagerly, gap-wise by finite additivity (the module docstring's d)."""
+    """The Baire operator d: points whose every neighborhood meets s nonmeagerly.
+
+    Gap-wise: a FULL or IRRS gap is locally nonmeager everywhere in its
+    closed span (for IRRS because a co-countable subset of an interval is
+    comeager there, and nonmeager by the Baire category theorem); a RATS
+    gap and isolated points are countable, hence meager, and vanish.
+    Finite additivity of d makes the gap-wise computation exact.
+    """
     return apply_word("d", s)
 
 
 def frontier(s: TameSet) -> TameSet:
-    """k(s) & k(cs), in one pass over the shape of s (the module docstring's
-    f): a breakpoint is in k(s) unless it is outside s with NONE on both
-    sides, and in k(cs) unless it is inside s with FULL on both sides."""
+    """k(s) & k(cs), in one pass over the shape of s.
+
+    A gap lies in both closures exactly when both s and its complement
+    are dense in it, i.e. when its trace is RATS or IRRS.  A breakpoint
+    is in k(s) unless it is outside s with NONE on both sides, and in
+    k(cs) unless it is inside s with FULL on both sides.
+    """
     return apply_word("f", s)
 
 
