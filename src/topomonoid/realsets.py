@@ -52,16 +52,20 @@ the surviving breakpoints, is computed only when some byte was dropped.
 
 Shapes are interned (hash-consing): each distinct code is one _Shape
 node, made once through the table _SHAPES, and a node holds its moves,
-letter -> (keep, next node), each computed on first use.  The constants 0
-and 1 are moves too, to the empty or the full shape with no breakpoint
-kept.  A TameSet keeps the node of its shape once it has been walked, and
-an image is built with its node, so `apply_word` hashes a code at most
-once per fresh set and then follows one move per letter: no Fraction is
-hashed or compared on the way, and no shape is converted.  `_walk` is
-that loop: from a node it follows the word's moves and composes their
-keep maps, and `apply_word` selects the image's breakpoints once, at the
-end, and gives the image its node's code; each of the five operators is
-`apply_word` on its one-letter word.  vitali walks the same graph from
+letter -> (picker, next node), each computed on first use.  A move's
+picker selects the surviving breakpoints in C: an operator.itemgetter of
+a slice when `keep` is contiguous (no breakpoint or one included), of
+the indices otherwise, and None when every breakpoint survives.  The
+constants 0 and 1 are moves too, to the empty or the full shape with no
+breakpoint kept.  A TameSet keeps the node of its shape once it has been
+walked, and an image is built with its node, so `apply_word` hashes a
+code at most once per fresh set and then follows one move per letter: no
+Fraction is hashed or compared on the way, and no shape is converted.
+`_walk` is that loop: from a node it follows the word's moves, and the
+breakpoints ride along, each move's picker applied to them as it is
+taken; `apply_word` gives the walked breakpoints the code of the node
+reached.  Each of the five operators is `apply_word` on its one-letter
+word.  vitali walks the same graph from
 the refined shape of a plusV or minusV set, a node of the same table
 under a tuple key.  Every node carries the epoch it was interned in, and
 a node starts a walk only while that epoch is current (_current).
@@ -133,7 +137,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
 INF = float("inf")
@@ -365,6 +369,17 @@ def _minimal(code: bytes):
     return keep, kept or bytes((32 + (code[0] >> 3),))
 
 
+def _picker(keep):
+    """An itemgetter of the breakpoints keep of a tuple, always giving a
+    tuple: of a slice when keep is contiguous (none or one included), of the
+    indices otherwise; None when keep is None (every breakpoint survives)."""
+    if keep is None:
+        return None
+    if not keep or keep[-1] - keep[0] == len(keep) - 1:
+        return itemgetter(slice(keep[0], keep[-1] + 1) if keep else slice(0))
+    return itemgetter(*keep)
+
+
 def _from_code(breaks: Sequence, code: bytes) -> TameSet:
     """The minimal set of the unminimized code on breaks."""
     keep, code = _minimal(code)
@@ -582,10 +597,11 @@ _SHAPE_OPS = {
 class _Shape:
     """One interned shape, by its code, with the letters already walked from it.
 
-    `moves` maps a letter to (keep, next): keep is the indices of the
-    breakpoints that survive in the letter's minimal image (None when all
-    of them do), and next is the node of the image's shape.  A move is
-    computed once, on first use, by minimizing `image`.  `epoch` is the
+    `moves` maps a letter to (picker, next): picker selects, from a tuple
+    of this shape's breakpoints, those that survive in the letter's minimal
+    image (_picker; None when all of them do), and next is the node of the
+    image's shape.  A move is computed once, on first use, by minimizing
+    `image`.  `epoch` is the
     epoch the node was interned in; a node starts a walk only while that
     epoch is current (see _current).
     """
@@ -603,7 +619,7 @@ class _Shape:
 
     def move(self, letter: str):
         keep, code = _minimal(self.image(letter))
-        move = self.moves[letter] = keep, _intern(code)
+        move = self.moves[letter] = _picker(keep), _intern(code)
         return move
 
 
@@ -666,24 +682,15 @@ def _reset_shapes() -> None:
     _TABLES.clear()
 
 
-def _walk(word: str, node: _Shape):
-    """(keep, node) of the walk of word, right to left, from node: one move
-    per letter, the keep maps composed (None while every breakpoint of the
-    start survives)."""
-    keep = None
+def _walk(word: str, node: _Shape, breaks: tuple):
+    """(breaks, node) of the walk of word, right to left, from node with the
+    breakpoints breaks: one move per letter, each move's picker applied to
+    the breakpoints as they ride along."""
     for ch in reversed(word):
-        step, node = node.moves.get(ch) or node.move(ch)
-        if step is not None:
-            keep = step if keep is None else tuple(map(keep.__getitem__, step))
-    return keep, node
-
-
-def _select(breaks: tuple, keep, node: _Shape) -> TameSet:
-    """The set of shape node on the breakpoints breaks[j], j in keep (all of
-    breaks when keep is None)."""
-    if keep is not None:
-        breaks = tuple(map(breaks.__getitem__, keep))
-    return TameSet(breaks, node.code, True, node)
+        pick, node = node.moves.get(ch) or node.move(ch)
+        if pick is not None:
+            breaks = pick(breaks)
+    return breaks, node
 
 
 def closure(s: TameSet) -> TameSet:
@@ -724,14 +731,14 @@ def frontier(s: TameSet) -> TameSet:
 def apply_word(word: str, s: TameSet) -> TameSet:
     """Right-to-left image of s under a word over kicdf01, on the shape alone.
 
-    One _walk from the node of s; the image's breakpoints are selected from
-    those of s once, at the end, and the image carries the node of its
-    shape.  Returns s itself when the word leaves its shape unchanged.
+    One _walk from the node of s, its breakpoints picked on the way; the
+    image carries the node of its shape.  Returns s itself exactly when the
+    walk leaves its breakpoints and its shape unchanged.
     """
-    keep, node = _walk(word, _shape_of(s))
-    if keep is None and node is s._shape:
+    breaks, node = _walk(word, _shape_of(s), s.breaks)
+    if breaks is s.breaks and node is s._shape:
         return s
-    return _select(s.breaks, keep, node)
+    return TameSet(breaks, node.code, True, node)
 
 
 # -- rendering ------------------------------------------------------------

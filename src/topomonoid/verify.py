@@ -205,7 +205,8 @@ class VerifyReport:
 def _check(checks, cid, description, problems, details=""):
     status = "pass" if not problems else "fail"
     if problems:
-        details = "; ".join(problems[:4]) + (f" (+{len(problems)-4} more)" if len(problems) > 4 else "")
+        shown = "; ".join(problems[:4]) + (f" (+{len(problems)-4} more)" if len(problems) > 4 else "")
+        details = f"{shown}; {details}" if details else shown
     checks.append(Check(cid, description, status, details))
 
 

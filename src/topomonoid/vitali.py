@@ -98,13 +98,14 @@ is a byte operation on the code, on top of its realsets translation:
     breakpoints.  AND is the intersection there, because both images
     have only NONE and FULL traces.
 
-A tame image is minimized into a plain realsets node, whose keep indices
-point into the refined breakpoints, and the walk goes on there.  So the
+A tame image is minimized into a plain realsets node, whose picker
+selects from the refined breakpoints, and the walk goes on there.  So the
 letters applied while the image is plusV or minusV are a run of c's and
 one more letter, the only one that can be undecidable.  That walk is
 exact: each move gives, up to minimization, the shape the case analysis
-above gives letter by letter, and by the locality lemma composing the
-moves and their keep maps gives the very set the fold builds.
+above gives letter by letter, and by the locality lemma following the
+moves, with their pickers applied to the breakpoints as they ride along,
+gives the very set the fold builds.
 
 A subset test A in B is the three-valued AND of an off-V question and an
 on-V question.  Off V every mode equals its base, so the off-V question is
@@ -369,8 +370,8 @@ class _VShape(realsets._Shape):
     the code of the base's traces and memberships on the refined shape,
     the masks of their frame labels and the mode.  c moves to the node of
     the other mode; every other letter moves to a plain realsets node, whose
-    keep indices point into the refined breakpoints.  `minimal` is the
-    base's own minimal shape."""
+    picker selects from the refined breakpoints.  `minimal` is the base's
+    own minimal shape."""
 
     __slots__ = ("mode", "kw1", "kw0", "w1", "_minimal")
 
@@ -384,10 +385,10 @@ class _VShape(realsets._Shape):
         return self.mode, self.code, self.kw1, self.kw0, self.w1
 
     def minimal(self):
-        """(keep, node) of the base's minimal shape, made on first use."""
+        """(picker, node) of the base's minimal shape, made on first use."""
         if self._minimal is None:
             keep, code = realsets._minimal(self.code)
-            self._minimal = keep, realsets._intern(code)
+            self._minimal = realsets._picker(keep), realsets._intern(code)
         return self._minimal
 
     def move(self, letter: str):
@@ -395,8 +396,10 @@ class _VShape(realsets._Shape):
             mode = MODE_MINUS if self.mode == MODE_PLUS else MODE_PLUS
             move = (None, realsets._intern(
                 (mode, super().image("c"), self.kw1, self.kw0, self.w1), _VShape))
-        elif letter == "i":
-            move = realsets._walk("ckc", self)
+        elif letter == "i":  # the picker of the ckc walk: the indices it keeps
+            every = tuple(range(len(self.code)))
+            keep, node = realsets._walk("ckc", self, every)
+            move = realsets._picker(None if keep is every else keep), node
         else:
             return super().move(letter)
         self.moves[letter] = move
@@ -442,19 +445,21 @@ def _apply(word: str, s: SymbolicSet) -> SymbolicSet:
     Undecidable carries no position."""
     if s.mode == MODE_TAME:
         base = realsets.apply_word(word, s.base)
-        return s if base is s.base else tame(base)
+        return s if base is s.base else SymbolicSet(base)
     breaks, start = _refinement(s)
     try:
-        keep, node = realsets._walk(word, start)
-    except _Stuck as stuck:
+        picked, node = realsets._walk(word, start, breaks)
+    except _Stuck as stuck:  # only c's, which drop nothing, came before
         raise Undecidable(
             f"isolated point {breaks[stuck.index]} lies inside W1: membership in V "
             f"is not determined by the atom's axioms") from None
     if node is start:
         return s
     if node.__class__ is not _VShape:
-        return tame(realsets._select(breaks, keep, node))
-    img = SymbolicSet(realsets._select(breaks, *node.minimal()), node.mode, s.params)
+        return SymbolicSet(TameSet(picked, node.code, True, node))
+    pick, base = node.minimal()  # only c's were walked: picked is breaks
+    img = SymbolicSet(TameSet(breaks if pick is None else pick(breaks), base.code, True, base),
+                      node.mode, s.params)
     img._refined = (breaks, node)
     return img
 

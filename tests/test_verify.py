@@ -239,6 +239,24 @@ def test_6_reports_the_undecidable_instances_it_skips(monkeypatch):
     assert (check.status, check.details) == ("pass", "168 undecidable instances skipped")
 
 
+def test_6_reports_its_skips_after_a_refutation(monkeypatch):
+    # A failing check keeps the skip count, after its problems.
+    real = verify.apply_word
+
+    def undecidable_off_tame(word, s):
+        if not s.is_tame():
+            raise Undecidable("injected")
+        return real(word, s)
+
+    bad = RewriteRule("k", "i", "PB", "false rule under test", "derived")
+    monkeypatch.setattr(verify, "PB", AxiomSystem("PB+bad", PB.rules + (bad,)))
+    monkeypatch.setattr(verify, "apply_word", undecidable_off_tame)
+    check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
+    first = _first_set_where_words_differ("k", "i", _all_sets(CORPUS))
+    assert (check.status, check.details) == (
+        "fail", f"rule k -> i refuted on {first}; 168 undecidable instances skipped")
+
+
 def test_6_reports_no_skips_when_every_instance_is_decided():
     check = _checks(verify.check_rule_validation, CORPUS, DEFAULT_PARAMS)["6-rule-validation"]
     assert (check.status, check.details) == ("pass", "")
