@@ -52,30 +52,30 @@ the surviving breakpoints, is computed only when some byte was dropped.
 
 Shapes are interned (hash-consing): each distinct code is one _Shape
 node, made once through the table _SHAPES, and a node holds its moves,
-letter -> (picker, next node), each computed on first use.  A move's
-picker selects the surviving breakpoints in C: an operator.itemgetter of
-a slice when `keep` is contiguous (no breakpoint or one included), of
-the indices otherwise, and None when every breakpoint survives.  The
+letter -> (picker, next node), each computed on first use.  The picker
+selects the surviving breakpoints in C: an operator.itemgetter of a slice
+when `keep` is contiguous (which covers keeping none or one), of the
+indices otherwise, and None when every breakpoint survives.  The
 constants 0 and 1 are moves too, to the empty or the full shape with no
 breakpoint kept.  A TameSet keeps the node of its shape once it has been
 walked, and an image is built with its node, so `apply_word` hashes a
 code at most once per fresh set and then follows one move per letter: no
 Fraction is hashed or compared on the way, and no shape is converted.
 `_walk` is that loop: from a node it follows the word's moves, and the
-breakpoints ride along, each move's picker applied to them as it is
-taken; `apply_word` gives the walked breakpoints the code of the node
+breakpoints ride along, each move's picker applied to them as the move
+is taken; `apply_word` gives the walked breakpoints the code of the node
 reached.  Each of the five operators is `apply_word` on its one-letter
-word.  vitali walks the same graph from
-the refined shape of a plusV or minusV set, a node of the same table
-under a tuple key.  Every node carries the epoch it was interned in, and
-a node starts a walk only while that epoch is current (_current).
-`_reset_shapes` starts a new epoch with empty tables of shapes and of
-letter translations, so a reset is exact: a walk starts only at a node of
-the current epoch, and a move leads only to a node of its own epoch (the
-table is reset, when it reaches 262,144 shapes, before a walk and never
-during one), so moves and translations made before a reset (say, under a
-patched _SHAPE_OPS) are never used again, even from nodes that long-lived
-sets such as U still hold.
+word.  vitali walks the same graph from the refined shape of a plusV or
+minusV set, a node of the same table under a tuple key.  Every node
+carries the epoch it was interned in, and a node starts a walk only
+while that epoch is current (_current).  `_reset_shapes` starts a new
+epoch with empty tables of shapes and of letter translations, so a reset
+is exact: a walk starts only at a node of the current epoch, and a move
+leads only to a node of its own epoch (the table is reset, when it
+reaches 262,144 shapes, before a walk and never during one), so moves
+and translations made before a reset (say, under a patched _SHAPE_OPS)
+are never used again, even from nodes that long-lived sets such as U
+still hold.
 
 Universal witness.  By the lemma, the image of a set under a word over
 kicdf01 has, on each gap, a trace that depends only on the gap's trace,
@@ -370,9 +370,10 @@ def _minimal(code: bytes):
 
 
 def _picker(keep):
-    """An itemgetter of the breakpoints keep of a tuple, always giving a
-    tuple: of a slice when keep is contiguous (none or one included), of the
-    indices otherwise; None when keep is None (every breakpoint survives)."""
+    """An itemgetter that gives the breakpoints keep of a tuple, always as a
+    tuple: of a slice when keep is contiguous (which covers keeping none or
+    one, where itemgetter(j) would give a bare item), of the indices
+    otherwise; None when keep is None (every breakpoint survives)."""
     if keep is None:
         return None
     if not keep or keep[-1] - keep[0] == len(keep) - 1:
@@ -601,9 +602,8 @@ class _Shape:
     of this shape's breakpoints, those that survive in the letter's minimal
     image (_picker; None when all of them do), and next is the node of the
     image's shape.  A move is computed once, on first use, by minimizing
-    `image`.  `epoch` is the
-    epoch the node was interned in; a node starts a walk only while that
-    epoch is current (see _current).
+    `image`.  `epoch` is the epoch the node was interned in; a node starts
+    a walk only while that epoch is current (see _current).
     """
 
     __slots__ = ("code", "epoch", "moves")

@@ -527,18 +527,18 @@ def test_apply_word_walks_like_the_letter_fold():
 
 
 def _fold(word, s):
-    """The image of s under word, letter by letter through _SHAPE_OPS and
-    _minimize_by_rule, with the breakpoints selected through the composed
-    keep maps."""
-    start, (gaps, pts), keep = s, realsets._decode(s.code), range(len(s.breaks))
+    """(keep, image): the image of s under word, letter by letter through
+    _SHAPE_OPS and _minimize_by_rule, and the composed keep maps, the
+    indices of the breakpoints of s that it keeps (none after a constant)."""
+    (gaps, pts), keep = realsets._decode(s.code), range(len(s.breaks))
     for ch in reversed(word):
         if ch in "01":
-            start = realsets.EMPTY if ch == "0" else realsets.REALS
-            (gaps, pts), keep = realsets._decode(start.code), ()
+            (gaps, pts), keep = realsets._decode(
+                (realsets.EMPTY if ch == "0" else realsets.REALS).code), ()
             continue
         step, gaps, pts = _minimize_by_rule(*realsets._SHAPE_OPS[ch](gaps, pts))
         keep = [keep[j] for j in step]
-    return _raw([start.breaks[j] for j in keep], realsets._code(gaps, pts))
+    return tuple(keep), _raw([s.breaks[j] for j in keep], realsets._code(gaps, pts))
 
 
 def _interned_moves():
@@ -551,8 +551,11 @@ def test_interned_walk_is_the_letter_fold(drawn, word):
     gaps, pts, (xs, _) = drawn
     realsets._reset_shapes()
     for s in (_raw(xs, realsets._code(gaps, pts)), _from_profile(xs, gaps, pts)):
+        keep, folded = _fold(word, s)
         img = apply_word(word, s)
-        assert img == _fold(word, s), (word, s)
+        assert img == folded, (word, s)
+        # Walked over its own indices, s comes out as the fold's composed keep.
+        assert realsets._walk(word, s._shape, tuple(range(len(s.breaks))))[0] == keep
         assert img._shape.epoch == realsets._epoch
         assert img._shape.code == img.code
         if "0" not in word and "1" not in word and img == s:
@@ -560,6 +563,38 @@ def test_interned_walk_is_the_letter_fold(drawn, word):
         interned = _interned_moves()
         assert apply_word(word, s) == img
         assert _interned_moves() == interned, word
+    _check_pickers()
+
+
+def _check_pickers():
+    """Check that every interned move's picker selects exactly the keep of
+    _minimal on the move's image, always as a tuple; return the kinds of
+    keep seen."""
+    kinds = set()
+    for node in list(realsets._SHAPES.values()):
+        every = tuple(range(len(node.code)))
+        for letter, (pick, nxt) in node.moves.items():
+            keep, code = realsets._minimal(node.image(letter))
+            assert nxt.code == code, letter
+            if keep is None:
+                assert pick is None, letter
+                continue
+            assert pick(every) == keep and type(pick(every)) is tuple, (letter, keep)
+            kinds.add("empty" if not keep else "single" if len(keep) == 1 else
+                      "contiguous" if keep[-1] - keep[0] == len(keep) - 1 else "scattered")
+    return kinds
+
+
+def test_pickers_select_the_minimal_keep_in_every_case():
+    # Walks from U and from drawn sets intern moves that keep no breakpoint,
+    # a contiguous run and a scattered few; i keeps one of {0} u (1,inf).
+    realsets._reset_shapes()
+    sets = [realsets.UNIVERSAL, *rnd(40, 8100), union(point(0), interval(1, "inf"))]
+    for s in sets:
+        for n in range(4):
+            for word in itertools.product("kicdf01", repeat=n):
+                apply_word("".join(word), s)
+    assert _check_pickers() == {"empty", "single", "contiguous", "scattered"}
 
 
 def test_a_reset_forgets_moves_computed_under_another_operator(monkeypatch):

@@ -547,6 +547,26 @@ def test_apply_word_matches_the_uncached_fold(params):
     assert undecidable > 0
 
 
+@pytest.mark.parametrize("params", [
+    vitali.DEFAULT_PARAMS, VitaliParams.make(interval(8, 9), union(interval(8, 9), interval(9, 10))),
+    VitaliParams.make(realsets.REALS, realsets.REALS)], ids=["default", "two-component-w1", "whole-line"])
+def test_the_i_move_picks_what_its_ckc_walk_picks(params):
+    picked = 0
+    for s in _de_morgan_pool(params, 9600):
+        if s.is_tame():
+            continue
+        breaks, start = vitali._refinement(s)
+        try:
+            kept, node = realsets._walk("ckc", start, breaks)
+        except vitali._Stuck:
+            continue
+        pick, i_node = start.moves.get("i") or start.move("i")
+        assert i_node is node
+        assert (breaks if pick is None else pick(breaks)) == kept
+        picked += pick is not None
+    assert picked > 0
+
+
 def test_walks_and_inclusions_convert_no_shape(monkeypatch):
     # A set and its images hold their shapes as codes only: walking words
     # from built sets, and comparing the images, neither encodes nor
