@@ -57,25 +57,24 @@ selects the surviving breakpoints in C: an operator.itemgetter of a slice
 when `keep` is contiguous (which covers keeping none or one), of the
 indices otherwise, and None when every breakpoint survives.  The
 constants 0 and 1 are moves too, to the empty or the full shape with no
-breakpoint kept.  A TameSet keeps the node of its shape once it has been
-walked, and an image is built with its node, so `apply_word` hashes a
-code at most once per fresh set and then follows one move per letter: no
-Fraction is hashed or compared on the way, and no shape is converted.
-`_walk` is that loop: from a node it follows the word's moves, and the
-breakpoints ride along, each move's picker applied to them as the move
-is taken; `apply_word` gives the walked breakpoints the code of the node
-reached.  Each of the five operators is `apply_word` on its one-letter
-word.  vitali walks the same graph from the refined shape of a plusV or
-minusV set, a node of the same table under a tuple key.  Every node
-carries the epoch it was interned in, and a node starts a walk only
-while that epoch is current (_current).  `_reset_shapes` starts a new
-epoch with empty tables of shapes and of letter translations, so a reset
-is exact: a walk starts only at a node of the current epoch, and a move
-leads only to a node of its own epoch (the table is reset, when it
-reaches 262,144 shapes, before a walk and never during one), so moves
-and translations made before a reset (say, under a patched _SHAPE_OPS)
-are never used again, even from nodes that long-lived sets such as U
-still hold.
+breakpoint kept.  The table alone holds nodes: a set keeps its code, and
+`apply_word` finds the node of that code in _SHAPES (a bytes object
+caches its hash, and an image carries its node's own code object), then
+follows one move per letter: no Fraction is hashed or compared on the
+way, and no shape is converted.  `_walk` is that loop: from a node it
+follows the word's moves, and the breakpoints ride along, each move's
+picker applied to them as the move is taken; `apply_word` gives the
+walked breakpoints the code of the node reached.  Each of the five
+operators is `apply_word` on its one-letter word.  vitali walks the same
+graph from the refined shape of a plusV or minusV set, a node of the same
+table under a tuple key.  Since no set holds a node, `_reset_shapes`,
+which empties the tables of shapes and of letter translations, is exact:
+every later walk starts at a node made after it, so moves and
+translations made before a reset (say, under a patched _SHAPE_OPS) are
+never used again.  A full table (262,144 shapes) is emptied by `_intern`
+before it inserts, even during a walk, which is harmless: a move is a
+pure function of codes, so the nodes the walk still holds move as fresh
+ones would.
 
 Universal witness.  By the lemma, the image of a set under a word over
 kicdf01 has, on each gap, a trace that depends only on the gap's trace,
@@ -224,15 +223,14 @@ class Cell:
 class TameSet:
     """A normalized finite union of cells; immutable and hashable."""
 
-    __slots__ = ("breaks", "code", "_hash", "_shape")
+    __slots__ = ("breaks", "code", "_hash")
 
-    def __init__(self, breaks, code, _trusted=False, _shape=None):
+    def __init__(self, breaks, code, _trusted=False):
         if not _trusted:
             raise TypeError("use from_cells/interval/point/empty/reals constructors")
         self.breaks = breaks
         self.code = code
         self._hash = None
-        self._shape = _shape
 
     # -- constructors -------------------------------------------------
 
@@ -602,20 +600,18 @@ class _Shape:
     of this shape's breakpoints, those that survive in the letter's minimal
     image (_picker; None when all of them do), and next is the node of the
     image's shape.  A move is computed once, on first use, by minimizing
-    `image`.  `epoch` is the epoch the node was interned in; a node starts
-    a walk only while that epoch is current (see _current).
+    `image`.
     """
 
-    __slots__ = ("code", "epoch", "moves")
+    __slots__ = ("code", "moves")
 
     def __init__(self, code: bytes):
         self.code = code
-        self.epoch = _epoch
         self.moves = {}
 
     def image(self, letter: str) -> bytes:
         """The code of the letter's unminimized image: one translation."""
-        return self.code.translate(_TABLES.get(letter) or _table(letter))
+        return self.code.translate(_table(letter))
 
     def move(self, letter: str):
         keep, code = _minimal(self.image(letter))
@@ -623,61 +619,44 @@ class _Shape:
         return move
 
 
-_epoch = 0
 _SHAPES: dict = {}
 _TABLES: dict[str, bytes] = {}
 
 
 def _table(letter: str) -> bytes:
-    """The translation table of a letter, made once per epoch.  By the
+    """The translation table of a letter, made on first use.  By the
     locality lemma a byte's image depends on the byte alone, so the table is
     read off one call of _SHAPE_OPS on the unminimized shape of U: its 32
     bytes are the 32 triples, and its gaps show the 4 traces."""
-    op = _SHAPE_OPS.get(letter)
-    if op is None:
-        raise ValueError(f"unknown operator letter {letter!r}")
-    gaps, pts = _UNIVERSAL_SHAPE
-    img_gaps, img_pts = op(gaps, pts)
-    table = _TABLES[letter] = bytes.maketrans(
-        _code(gaps, pts) + bytes(32 + g for g in range(4)),
-        _code(img_gaps, img_pts) + bytes(32 + img_gaps[gaps.index(g)] for g in range(4)))
+    table = _TABLES.get(letter)
+    if table is None:
+        op = _SHAPE_OPS.get(letter)
+        if op is None:
+            raise ValueError(f"unknown operator letter {letter!r}")
+        gaps, pts = _UNIVERSAL_SHAPE
+        img_gaps, img_pts = op(gaps, pts)
+        table = _TABLES[letter] = bytes.maketrans(
+            _code(gaps, pts) + bytes(32 + g for g in range(4)),
+            _code(img_gaps, img_pts) + bytes(32 + img_gaps[gaps.index(g)] for g in range(4)))
     return table
 
 
 def _intern(key, cls=_Shape) -> _Shape:
     """The node of key, made as cls(key) on first use: the code of a plain
-    shape; vitali's refined shapes have tuple keys."""
+    shape; vitali's refined shapes have tuple keys.  A full table (262,144
+    shapes) is emptied before the insert (module docstring)."""
     node = _SHAPES.get(key)
     if node is None:
+        if len(_SHAPES) >= 262144:
+            _SHAPES.clear()
         node = _SHAPES[key] = cls(key)
     return node
 
 
-def _current(node: _Shape | None) -> bool:
-    """Whether a walk may start at node now: it was interned in the current
-    epoch.  A full table (262,144 shapes) is reset here first, so a reset
-    comes before a walk and never during one."""
-    if len(_SHAPES) >= 262144:
-        _reset_shapes()
-    return node is not None and node.epoch == _epoch
-
-
-def _shape_of(s: TameSet) -> _Shape:
-    """The node a walk of s starts at, interned on the first walk of s (and
-    on the first walk after a reset)."""
-    node = s._shape
-    if not _current(node):
-        node = s._shape = _intern(s.code)
-    return node
-
-
 def _reset_shapes() -> None:
-    """Forget every interned shape, move and letter table: start a new epoch
-    with empty tables.  Nodes still held by sets belong to an old epoch, so
-    _shape_of interns those sets afresh, and no move or table made before
-    the reset (say, under another _SHAPE_OPS) is ever used again."""
-    global _epoch
-    _epoch += 1
+    """Forget every interned shape, move and letter table.  No set holds a
+    node, so no move or table made before the reset (say, under another
+    _SHAPE_OPS) is ever used again."""
     _SHAPES.clear()
     _TABLES.clear()
 
@@ -731,14 +710,14 @@ def frontier(s: TameSet) -> TameSet:
 def apply_word(word: str, s: TameSet) -> TameSet:
     """Right-to-left image of s under a word over kicdf01, on the shape alone.
 
-    One _walk from the node of s, its breakpoints picked on the way; the
-    image carries the node of its shape.  Returns s itself exactly when the
-    walk leaves its breakpoints and its shape unchanged.
+    One _walk from the node of the code of s, its breakpoints picked on the
+    way; the image carries the code of the node reached.  Returns s itself
+    exactly when the walk leaves its breakpoints and its code unchanged.
     """
-    breaks, node = _walk(word, _shape_of(s), s.breaks)
-    if breaks is s.breaks and node is s._shape:
+    breaks, node = _walk(word, _intern(s.code), s.breaks)
+    if breaks is s.breaks and node.code == s.code:
         return s
-    return TameSet(breaks, node.code, True, node)
+    return TameSet(breaks, node.code, True)
 
 
 # -- rendering ------------------------------------------------------------

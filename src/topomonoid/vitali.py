@@ -58,10 +58,10 @@ plusV or minusV set walks from its refined shape:
     labelled by the frame: its code is the base's code with the natural
     byte of its gap inserted at each frame point the base lacks.  It is
     made once, by one walk of the frame, and the set keeps its
-    breakpoints and node (SymbolicSet._refined); the code, the three
-    masks of its labels and its mode are one interned node (_VShape) in
-    realsets' table, so the epoch, realsets._reset_shapes and the
-    table's bound cover it too.
+    breakpoints and its key, the mode, the code and the three masks of
+    its labels (SymbolicSet._refined); a walk looks the key up in
+    realsets' table, where it is one interned node (_VShape), so
+    realsets._reset_shapes and the table's bound cover it too.
   * The masks are ints over the bytes of the refined code.  The kW1 and
     kW0 masks are the codes of kW1 and kW0 there: FULL gaps and member
     points where the label holds the set.  The W1 mask has the membership
@@ -94,9 +94,18 @@ is a byte operation on the code, on top of its realsets translation:
   * c is one translation of the code, with the masks kept, and flips the
     mode, so its image is again a refined node: it never collapses, by
     the c bullet;
-  * i = ckc, and f = k & kc is the AND of the two k images, on the same
-    breakpoints.  AND is the intersection there, because both images
-    have only NONE and FULL traces.
+  * i = ckc is the k image of the c node translated by c's table, on the
+    same breakpoints.  c maps the four natural bytes onto one another,
+    (NONE, 0, NONE) <-> (FULL, 1, FULL) and (RATS, 1, RATS) <-> (IRRS, 0,
+    IRRS), and every other byte to one that is not natural, so minimizing
+    commutes with c: the outer c of the ckc walk keeps every breakpoint
+    and moves to the c image of the k move's node, and the i move keeps
+    what that k move keeps, so its picker is the k image's.  The inner c
+    keeps every breakpoint too, so an undecidable k raises from the same
+    k image, at the same index;
+  * f = k & kc is the AND of the two k images, on the same breakpoints.
+    AND is the intersection there, because both images have only NONE
+    and FULL traces.
 
 A tame image is minimized into a plain realsets node, whose picker
 selects from the refined breakpoints, and the walk goes on there.  So the
@@ -258,7 +267,7 @@ class SymbolicSet:
     """tame(base), plusV(base) or minusV(base); immutable by convention, like
     TameSet, and equal when base, mode and params are equal.  The refined
     shape that a plusV or minusV set keeps is ignored by equality and
-    hashing, as TameSet ignores its shape node."""
+    hashing."""
 
     __slots__ = ("base", "mode", "params", "_refined")
 
@@ -267,7 +276,7 @@ class SymbolicSet:
         self.base = base
         self.mode = mode
         self.params = params
-        self._refined = None  # (breaks, node) of the refined shape, see _refinement
+        self._refined = None  # (breaks, key) of the refined shape, see _refinement
 
     def __eq__(self, other):
         if other.__class__ is not SymbolicSet:
@@ -370,47 +379,35 @@ class _VShape(realsets._Shape):
     the code of the base's traces and memberships on the refined shape,
     the masks of their frame labels and the mode.  c moves to the node of
     the other mode; every other letter moves to a plain realsets node, whose
-    picker selects from the refined breakpoints.  `minimal` is the base's
-    own minimal shape."""
+    picker selects from the refined breakpoints."""
 
-    __slots__ = ("mode", "kw1", "kw0", "w1", "_minimal")
+    __slots__ = ("mode", "kw1", "kw0", "w1")
 
     def __init__(self, key: tuple):
-        mode, code, self.kw1, self.kw0, self.w1 = key
+        self.mode, code, self.kw1, self.kw0, self.w1 = key
         super().__init__(code)
-        self.mode = mode
-        self._minimal = None
 
     def key(self) -> tuple:
         return self.mode, self.code, self.kw1, self.kw0, self.w1
 
-    def minimal(self):
-        """(picker, node) of the base's minimal shape, made on first use."""
-        if self._minimal is None:
-            keep, code = realsets._minimal(self.code)
-            self._minimal = realsets._picker(keep), realsets._intern(code)
-        return self._minimal
-
     def move(self, letter: str):
-        if letter == "c":  # never collapses (module docstring)
-            mode = MODE_MINUS if self.mode == MODE_PLUS else MODE_PLUS
-            move = (None, realsets._intern(
-                (mode, super().image("c"), self.kw1, self.kw0, self.w1), _VShape))
-        elif letter == "i":  # the picker of the ckc walk: the indices it keeps
-            every = tuple(range(len(self.code)))
-            keep, node = realsets._walk("ckc", self, every)
-            move = realsets._picker(None if keep is every else keep), node
-        else:
+        if letter != "c":
             return super().move(letter)
-        self.moves[letter] = move
+        # c never collapses (module docstring).
+        mode = MODE_MINUS if self.mode == MODE_PLUS else MODE_PLUS
+        move = self.moves["c"] = None, realsets._intern(
+            (mode, super().image("c"), self.kw1, self.kw0, self.w1), _VShape)
         return move
 
     def image(self, letter: str) -> bytes:
-        """The code of the unminimized tame image under k, d or f (module
+        """The code of the unminimized tame image under k, i, d or f (module
         docstring); the constants as on a plain shape."""
-        if letter == "f":
+        if letter == "i" or letter == "f":
             _, c = self.moves.get("c") or self.move("c")
-            k, kc = self.image("k"), c.image("k")
+            kc = c.image("k")
+            if letter == "i":  # ckc: minimizing commutes with c
+                return kc.translate(realsets._table("c"))
+            k = self.image("k")
             return (int.from_bytes(k, "big") & int.from_bytes(kc, "big")).to_bytes(len(k), "big")
         img = super().image(letter)
         if letter != "k" and letter != "d":
@@ -426,18 +423,14 @@ class _VShape(realsets._Shape):
 
 
 def _refinement(s: SymbolicSet):
-    """(breaks, node) of the refined shape of the plusV or minusV set s,
-    made on the first walk of s and interned again after a reset."""
+    """(breaks, node) of the refined shape of the plusV or minusV set s: its
+    breakpoints and key are made on the first walk of s, and its node is
+    looked up by the key on every walk."""
     refined = s._refined
-    if realsets._current(None if refined is None else refined[1]):
-        return refined
     if refined is None:
         breaks, *shape = _refine(s.base, s.params.frame)
-        key = (s.mode, *shape)
-    else:
-        breaks, key = refined[0], refined[1].key()
-    refined = s._refined = (breaks, realsets._intern(key, _VShape))
-    return refined
+        refined = s._refined = breaks, (s.mode, *shape)
+    return refined[0], realsets._intern(refined[1], _VShape)
 
 
 def _apply(word: str, s: SymbolicSet) -> SymbolicSet:
@@ -456,11 +449,10 @@ def _apply(word: str, s: SymbolicSet) -> SymbolicSet:
     if node is start:
         return s
     if node.__class__ is not _VShape:
-        return SymbolicSet(TameSet(picked, node.code, True, node))
-    pick, base = node.minimal()  # only c's were walked: picked is breaks
-    img = SymbolicSet(TameSet(breaks if pick is None else pick(breaks), base.code, True, base),
-                      node.mode, s.params)
-    img._refined = (breaks, node)
+        return SymbolicSet(TameSet(picked, node.code, True))
+    # Only c's were walked, so picked is breaks: the base is the node's code minimized.
+    img = SymbolicSet(realsets._from_code(breaks, node.code), node.mode, s.params)
+    img._refined = (breaks, node.key())
     return img
 
 

@@ -554,10 +554,11 @@ def test_interned_walk_is_the_letter_fold(drawn, word):
         keep, folded = _fold(word, s)
         img = apply_word(word, s)
         assert img == folded, (word, s)
-        # Walked over its own indices, s comes out as the fold's composed keep.
-        assert realsets._walk(word, s._shape, tuple(range(len(s.breaks))))[0] == keep
-        assert img._shape.epoch == realsets._epoch
-        assert img._shape.code == img.code
+        # Walked over its own indices from the node of its code, s comes out
+        # as the fold's composed keep, at the node interned for the image's code.
+        walked, node = realsets._walk(word, realsets._SHAPES[s.code], tuple(range(len(s.breaks))))
+        assert walked == keep
+        assert node is realsets._SHAPES[img.code]
         if "0" not in word and "1" not in word and img == s:
             assert img is s, word
         interned = _interned_moves()
@@ -600,7 +601,8 @@ def test_pickers_select_the_minimal_keep_in_every_case():
 def test_a_reset_forgets_moves_computed_under_another_operator(monkeypatch):
     u = realsets.UNIVERSAL
     original = apply_word("d", u)
-    assert "d" in u._shape.moves
+    node = realsets._SHAPES[u.code]
+    assert "d" in node.moves
 
     def d_that_fills_every_nonempty_gap(gs, ps):
         filled = [g != realsets.NONE for g in gs]
@@ -611,6 +613,8 @@ def test_a_reset_forgets_moves_computed_under_another_operator(monkeypatch):
     realsets._reset_shapes()
     try:
         patched = apply_word("d", u)
+        # U walks fresh, from a node interned after the reset.
+        assert realsets._SHAPES[u.code] is not node
     finally:
         monkeypatch.undo()
         realsets._reset_shapes()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_realsets import _fold as _letter_fold
 from test_realsets import _from_profile
 from topomonoid import realsets, vitali
 from topomonoid.corpus import build_corpus, random_tame, witness
@@ -570,7 +571,7 @@ def test_the_i_move_picks_what_its_ckc_walk_picks(params):
 def test_walks_and_inclusions_convert_no_shape(monkeypatch):
     # A set and its images hold their shapes as codes only: walking words
     # from built sets, and comparing the images, neither encodes nor
-    # decodes a shape.  The letter tables of the epoch are made first.
+    # decodes a shape.  The letter tables are made first.
     for ch in "kicdf01":
         realsets.apply_word(ch, realsets.UNIVERSAL)
     bases = [random_tame(9500 + j, 5) for j in range(40)]
@@ -625,6 +626,62 @@ def test_a_reset_forgets_the_moves_of_plus_v_sets(monkeypatch):
     assert patched == [tame(expected)] * 2
     assert render_symbolic(patched[0]) == "(0,1) u [8,10]"
     assert apply_word("k", s) == original
+
+
+class _FullTable(dict):
+    """A shape table that reports itself full, so _intern empties it before
+    every insert, in the middle of a walk too; it counts the emptyings."""
+
+    emptied = 0
+
+    def __len__(self):
+        return 262144
+
+    def clear(self):
+        self.emptied += 1
+        super().clear()
+
+
+def _walked_picks(word, s):
+    """The indices of the (refined) breakpoints of s that the walk of word
+    keeps, or the index of the isolated point it is stuck at."""
+    if s.is_tame():
+        breaks, start = s.base.breaks, realsets._intern(s.base.code)
+    else:
+        breaks, start = vitali._refinement(s)
+    try:
+        return realsets._walk(word, start, tuple(range(len(breaks))))[0]
+    except vitali._Stuck as stuck:
+        return "stuck", stuck.index
+
+
+def test_a_full_table_emptied_mid_walk_walks_as_before(monkeypatch):
+    # Moves are pure functions of codes, so emptying the table before every
+    # insert changes no image, no pick and no Undecidable point.
+    pool = _de_morgan_pool(vitali.DEFAULT_PARAMS, 9700)
+    pool += [tame(random_tame(9800 + j, 5)) for j in range(10)]
+    rng = random.Random(13)
+    words = ["".join(rng.choice("kicdf" * 8 + "01") for _ in range(n))
+             for n in range(1, 9) for _ in range(6)]
+    expected = {(w, s): (_image_or_text(_fold, w, s), _walked_picks(w, s))
+                for s in pool for w in words}
+    table = _FullTable()
+    monkeypatch.setattr(realsets, "_SHAPES", table)
+    try:
+        for (w, s), (image, picks) in expected.items():
+            fresh = vitali.SymbolicSet(s.base, s.mode, s.params)
+            assert _image_or_text(apply_word, w, fresh) == image, (w, s)
+            assert _walked_picks(w, fresh) == picks, (w, s)
+            if s.is_tame():  # and they are the independent letter fold's
+                keep, folded = _letter_fold(w, s.base)
+                assert (image, picks) == (tame(folded), keep), (w, s)
+    finally:
+        monkeypatch.undo()
+        realsets._reset_shapes()
+    assert {s.mode for s in pool} == {"tame", "plusV", "minusV"}
+    assert any(isinstance(image, str) for image, _ in expected.values())
+    # More emptyings than walks: the table was emptied inside walks.
+    assert table.emptied > 2 * len(expected)
 
 
 # -- distinguish groups its comparisons by the part outside kW1 -------------------
