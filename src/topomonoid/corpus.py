@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,47 +46,29 @@ def witness(name: str, params: VitaliParams = DEFAULT_PARAMS) -> SymbolicSet:
     raise ValueError(f"unknown witness {name!r} (expected one of {WITNESS_NAMES})")
 
 
-class RandomSets(Sequence):
-    """The random tame sets of a corpus: set j is random_tame(seed + j, 4).
-
-    Set j is built on first access and kept.  Each set is seeded on its
-    own, so which sets are built, and in which order, changes none of them.
-    """
-
-    def __init__(self, size: int, seed: int):
-        self.seed = seed
-        self._sets: list[TameSet | None] = [None] * size
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def __getitem__(self, j: int) -> TameSet:
-        j = range(len(self._sets))[j]  # negative j counts from the end; IndexError
-        s = self._sets[j]
-        if s is None:
-            s = self._sets[j] = random_tame(self.seed + j, 4)
-        return s
-
-
 @dataclass(frozen=True)
 class Corpus:
     """The named witnesses and the random tame sets of one seed.
 
-    The random sets are built on first use (RandomSets).  verify decides
-    every law on the tame sets through a witness that shows every location
-    (the locality lemma in realsets), so a passing run builds only the
-    random sets it evaluates; its claims about the whole corpus hold for
-    the unbuilt sets through that lemma.
+    Random set j, for j in range(size), is random(j), made on each call
+    and kept nowhere.  verify decides every law on the tame sets through
+    a witness that shows every location (the locality lemma in realsets),
+    so a passing run makes only the random sets it evaluates; its claims
+    about the whole corpus hold for the others through that lemma.
     """
 
     named: dict[str, SymbolicSet]
-    random: RandomSets
+    size: int
+    seed: int
+
+    def random(self, j: int) -> TameSet:
+        return random_tame(self.seed + j, 4)
 
 
 def build_corpus(size: int = 1000, seed: int = 1729,
                  params: VitaliParams = DEFAULT_PARAMS) -> Corpus:
     named = {name: witness(name, params) for name in WITNESS_NAMES}
-    return Corpus(named, RandomSets(size, seed))
+    return Corpus(named, size, seed)
 
 
 # -- random generation --------------------------------------------------------

@@ -18,7 +18,7 @@ decides each rule on every tame set through the witness U and evaluates
 the three V-mode witnesses).  Its lower bound is criterion 3: the tame
 A18 separates the 40 PB operators (every set has the Baire property under
 PB) and A22 the 46 BASE ones, and each of the nine monoids lies inside its
-system's table, so its operators are pairwise distinct too.  Confluence
+system's table, so no two of its operators are equal either.  Confluence
 is not needed for the counts, only for criterion 10.  Criterion 3 reads
 the count of vitali.distinguish's (count, images) and renders no image.
 distinguish compares two images only when their parts outside kW1 agree,
@@ -52,20 +52,15 @@ in 8's corpus order, and a failure everywhere else.
 Like 5b's equalities, 6's PB-tier rules are checked on Baire-property
 sets.
 
-The random corpus sets are built on first use (corpus.RandomSets).  The
-random part of each law table's inputs is a plain iterator, made at its
-call site: 5a's random sets and its 999 random-random cyclic pairs, and
-5b's and 6's random sets after the named ones.  first_failures pulls an
-iterator one input at a time, and only while some law is still open on
-tame inputs, so an input is made only when it will be evaluated.  A
-passing run pulls none, and builds only the two random sets that 5a
-pairs with the V-mode sets, whatever the corpus size: the last one and
-set 0 (999 and 0 at the default size).  The reports "hold on 1003 corpus
-sets" and "all 57 rules pass on the full corpus" count len(corpus.random)
-and the named inputs, and are true through the locality lemma: a law
-that holds cleanly at every location of its witness holds on every tame
-set, built or not.  A law that no input fails but its witness does fails
-on the witness's first set (first_failures).
+The law tables of 5a, 5b and 6 take the named inputs only: 5a's V, cV
+and A22 and its four cyclic pairs that hold one of them, whose tame ends
+are the last random set and set 0 (corpus.random(j); 999 and 0 at the
+default size), and 5b's and 6's named sets.  The reports "hold on 1003
+corpus sets" and "all 57 rules pass on the full corpus" count
+corpus.size and the named inputs, and are true through the locality
+lemma: a law that holds cleanly at every location of its witness holds
+on every tame set, made or not.  A law that no input fails but its
+witness does fails on the witness's first set (first_failures).
 
 Criterion 8 compares two orders on the even operators: the proved one
 (poset.proved_relation, on the rewrite side, closed over the Cayley rows
@@ -77,7 +72,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import pairwise
 from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
@@ -358,7 +352,8 @@ def _with_union(s, t):
 
 def _named_inputs(corpus):
     """(every named corpus set, the Baire-property ones) as one-set inputs.
-    The random sets after them are tame, so each has the Baire property."""
+    The random sets are tame, so each has the Baire property, and ON_U
+    decides them."""
     named = [(s,) for s in corpus.named.values()]
     return named, [(s,) for (s,) in named if has_baire_property(s) is True]
 
@@ -372,8 +367,7 @@ def _outcome(law, args) -> bool | None:
 
 
 def law_violations(laws, inputs, witness, prepare=lambda *sets: sets):
-    """(problems, skipped) of the laws over the inputs, each a tuple of sets
-    or an iterator of tame ones.
+    """(problems, skipped) of the laws over the inputs, each a tuple of sets.
 
     A law stops at its first failing input, which its problem names by the
     input's first set; problems follow the order of the laws.  See
@@ -389,15 +383,11 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     """(first, skipped): per law, the first set of its first failing input
     (None if it fails on none), and the number of skips.
 
-    An input is a tuple of sets.  Any other item of inputs is an iterator
-    of inputs whose sets are all tame, pulled one input at a time and only
-    while some law is still open on tame inputs, so an input is made only
-    when it will be evaluated.
-    prepare(*sets) gives the laws their arguments.  Each Undecidable, from
-    prepare (which then skips the input) or from a law, is one skip, never
-    a pass; one from prepare on the witness leaves every law undecided
-    there.  An empty witness shows no location: every law starts
-    undecided, and every input is evaluated.
+    Each input is a tuple of sets.  prepare(*sets) gives the laws their
+    arguments.  Each Undecidable, from prepare (which then skips the
+    input) or from a law, is one skip, never a pass; one from prepare on
+    the witness leaves every law undecided there.  An empty witness shows
+    no location: every law starts undecided, and every input is evaluated.
 
     Each law, being location-wise (see Law), runs first on the witness, a
     tuple of tame sets that shows every location: every gap trace and every
@@ -407,19 +397,17 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     of every tame input, so on each such input it holds, which is the very
     answer evaluation would give: for tame sets is_meager is exact, and
     sym_subset and sym_equal answer True on every true inclusion or
-    equality.  Such inputs count as checked without being evaluated.  So an
-    iterator is left unpulled once every law holds cleanly on the witness
-    or has failed; until then each input it gives is evaluated with only
-    the laws still open on a tame input.  If the law fails on the
-    witness, or is undecidable there, the witness itself is a tame input on
-    which it does not hold cleanly, so no tame input is passed unevaluated:
-    each is evaluated, because whether an input fails the law or is
-    undecidable (images that differ by one rational point inside W1)
-    depends on the input.  If no input fails it, the witness does, as a
+    equality.  Such inputs count as checked without being evaluated; every
+    other input is evaluated with only the laws still open on it.  If the
+    law fails on the witness, or is undecidable there, the witness itself
+    is a tame input on which it does not hold cleanly, so no tame input is
+    passed unevaluated: each is evaluated, because whether an input fails
+    the law or is undecidable (images that differ by one rational point
+    inside W1) depends on the input.  If no input fails it, the witness does, as a
     last input: a law false there fails on the witness's first set, and
     one undecidable there counts one skip (one in all when prepare is, as
     on any input).  So a law false on some tame set never passes,
-    whichever inputs it is given, an iterator already used up included.
+    whichever inputs it is given.
     Inputs with a plusV/minusV set are always evaluated: their images
     depend on where their breakpoints lie relative to W0 and W1, which no
     tame witness covers.
@@ -437,32 +425,23 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
     first = [None] * len(laws)  # per law, the first set of its first failing input
     skipped = 0
 
-    def pending(tame_input):
-        return [j for j in range(len(laws))
-                if first[j] is None and not (tame_input and j in clean)]
-
-    def evaluate(sets, js):
-        nonlocal skipped
+    for sets in inputs:
+        tame_input = all(s.is_tame() for s in sets)
+        js = [j for j in range(len(laws))
+              if first[j] is None and not (tame_input and j in clean)]
+        if not js:
+            continue
         try:
             args = prepare(*sets)
         except Undecidable:
             skipped += 1
-            return
+            continue
         for j in js:
             try:
                 if not laws[j].holds(*args):
                     first[j] = sets[0]
             except Undecidable:
                 skipped += 1
-
-    for item in inputs:
-        if isinstance(item, tuple):
-            js = pending(all(s.is_tame() for s in item))
-            if js:
-                evaluate(item, js)
-        else:
-            while (js := pending(True)) and (sets := next(item, None)) is not None:
-                evaluate(sets, js)
     # The witness, as a last input, for the laws that no input failed.
     unfailed = [j for j, held in enumerate(on_witness) if first[j] is None and held is not True]
     if witness_args is None:
@@ -500,26 +479,22 @@ def _d_law_violations(singles, pairs) -> tuple[list[str], int]:
 
 
 def check_property_suites(checks, corpus):
-    # The random sets, then V, cV and A22; the pairs are each set with the
-    # next, cyclically: the random neighbours, then the pairs that hold a
-    # V-mode set, which are always evaluated.
-    random = corpus.random
+    # The corpus is the random sets, then V, cV and A22, and its pairs are
+    # each set with the next, cyclically.  Those that hold a V-mode set are
+    # evaluated; the witnesses decide the others.
     tail = [corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
-    singles = [((tame(r),) for r in random)] + [(s,) for s in tail]
-    ends = [tame(random[-1]), *tail, tame(random[0])]
-    pairs = [((tame(r), tame(s)) for r, s in pairwise(random)), *zip(ends, ends[1:])]
-    problems, skipped = _d_law_violations(singles, pairs)
+    ends = [tame(corpus.random(corpus.size - 1)), *tail, tame(corpus.random(0))]
+    problems, skipped = _d_law_violations([(s,) for s in tail], list(zip(ends, ends[1:])))
     _check(checks, "5a-d-operator-laws",
-           f"d-operator laws (a)-(i) hold on {len(random) + len(tail)} corpus sets "
+           f"d-operator laws (a)-(i) hold on {corpus.size + len(tail)} corpus sets "
            f"({skipped} undecidable instances skipped)", problems)
 
     _, bp_named = _named_inputs(corpus)
-    problems, skipped = law_violations(
-        BAIRE_SET_LAWS, bp_named + [((tame(r),) for r in random)], ON_U)
+    problems, skipped = law_violations(BAIRE_SET_LAWS, bp_named, ON_U)
     if skipped:
         problems.append(f"{skipped} instances undecidable on property-true sets")
     _check(checks, "5b-baire-equalities",
-           f"Baire-property equalities hold on all {len(bp_named) + len(random)} "
+           f"Baire-property equalities hold on all {len(bp_named) + corpus.size} "
            f"property-true corpus sets", problems)
 
     # The empty witness: each equality is refuted by V itself, not by U.
@@ -552,8 +527,7 @@ def check_rule_validation(checks, corpus, params):
     for pb_tier, named in zip((False, True), _named_inputs(corpus)):
         laws = [identity_law(r.lhs, r.rhs, f"rule {r.lhs} -> {r.rhs} refuted")
                 for r in rules if (r.tier == "PB") == pb_tier]
-        random = ((tame(s),) for s in corpus.random)
-        refuted, tier_skipped = law_violations(laws, named + [random], ON_U)
+        refuted, tier_skipped = law_violations(laws, named, ON_U)
         problems, skipped = problems + refuted, skipped + tier_skipped
 
     # The printed transposed forms must fail, with the documented images.

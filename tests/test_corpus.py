@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topomonoid import corpus as corpus_mod
 from topomonoid.corpus import WITNESS_NAMES, build_corpus, parse_set_dsl, random_tame, witness
 from topomonoid.realsets import Cell, TameSet, interval, render
 from topomonoid.vitali import SymbolicSet, render_symbolic
@@ -215,36 +214,13 @@ def test_random_tame_round_trips():
 def test_build_corpus_contents():
     corpus = build_corpus(size=12, seed=0)
     assert set(corpus.named) == set(WITNESS_NAMES)
-    assert len(corpus.random) == 12
-    assert len(corpus.named) + len(corpus.random) == 18
-
-
-def test_random_sets_are_built_on_first_access_and_kept(monkeypatch):
-    seeds = []
-
-    def counting(seed, n=4):
-        seeds.append(seed)
-        return random_tame(seed, n)
-
-    monkeypatch.setattr(corpus_mod, "random_tame", counting)
-    corpus = build_corpus(size=1000, seed=40)
-    assert seeds == [] and len(corpus.random) == 1000
-    first = corpus.random[7]
-    assert corpus.random[7] is first and seeds == [47]
+    assert (corpus.size, corpus.seed) == (12, 0)
 
 
 def test_random_sets_match_random_tame_by_index():
     n, seed = 30, 2
-    assert list(build_corpus(n, seed).random) == [random_tame(seed + j, 4) for j in range(n)]
-
-
-def test_random_sets_index_like_a_tuple():
-    n = 9
-    random = build_corpus(n, seed=3).random
-    assert random[-1] == random[n - 1] and random[-n] == random[0]
-    for j in (n, -n - 1):
-        with pytest.raises(IndexError):
-            random[j]
+    corpus = build_corpus(n, seed)
+    assert [corpus.random(j) for j in range(n)] == [random_tame(seed + j, 4) for j in range(n)]
 
 
 def test_corpus_json_is_unchanged():

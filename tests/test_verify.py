@@ -37,9 +37,14 @@ def _checks(run, *args):
     return {c.id: c for c in checks}
 
 
+def _random_sets(corpus):
+    """The random corpus sets, in order, as SymbolicSets."""
+    return [tame(corpus.random(j)) for j in range(corpus.size)]
+
+
 def _all_sets(corpus):
     """The named corpus sets, then the random ones, as SymbolicSets."""
-    return list(corpus.named.values()) + [tame(s) for s in corpus.random]
+    return list(corpus.named.values()) + _random_sets(corpus)
 
 
 def _property_suites():
@@ -95,7 +100,7 @@ def test_5a_fails_on_a_false_d_law(monkeypatch):
     monkeypatch.setattr(verify, "D_SET_LAWS",
                         verify.D_SET_LAWS + (verify.identity_law("d", "k", "(x) d = k fails"),))
     check = _property_suites()["5a-d-operator-laws"]
-    sets = [tame(s) for s in CORPUS.random]
+    sets = _5a_singles(CORPUS) + [verify.ON_U[0]]
     assert check.status == "fail"
     assert f"(x) d = k fails on {_first_set_where_words_differ('d', 'k', sets)}" in check.details
 
@@ -394,8 +399,7 @@ def _d_law_violations(sets):
 
 
 def test_5a_counts_undecidable_laws_as_skips(monkeypatch):
-    sets = [tame(s) for s in CORPUS.random] + [
-        CORPUS.named["V"], CORPUS.named["cV"], CORPUS.named["A22"]]
+    sets = _5a_sets(CORPUS)
     problems, skipped = _d_law_violations(sets)
     assert not problems and skipped == 2
     # Undecidable on the witness too, so every set is evaluated and skipped,
@@ -485,9 +489,15 @@ def _oracle_baire_law_violations(bp_sets):
     return problems, skipped
 
 
+def _5a_singles(corpus):
+    """5a's one-set inputs: V, cV and A22."""
+    return [corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
+
+
 def _5a_sets(corpus):
-    return [tame(s) for s in corpus.random] + [
-        corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
+    """The random sets, then 5a's one-set inputs: 5a's corpus in its cyclic
+    order."""
+    return _random_sets(corpus) + _5a_singles(corpus)
 
 
 @pytest.mark.parametrize("seed", [1729, 2729, 7])
@@ -515,29 +525,44 @@ def _first_failure(law, inputs):
 
 
 def test_5a_names_the_first_set_a_false_set_law_fails_on(monkeypatch):
+    # 5a's inputs are V, cV and A22 in order, then its witness U: a law
+    # that fails only on tame sets is named on U, not on a random set.
     def law(s):
         return sym_subset(apply_word("d", s), apply_word("i", s))
 
-    monkeypatch.setattr(verify, "D_SET_LAWS",
-                        verify.D_SET_LAWS + (verify.Law("(x) dS not in iS", law),))
+    def tame_law(s):
+        return not s.is_tame() or law(s)
+
+    monkeypatch.setattr(verify, "D_SET_LAWS", verify.D_SET_LAWS + (
+        verify.Law("(x) dS not in iS", law), verify.Law("(y) dS not in iS", tame_law)))
     check = _property_suites()["5a-d-operator-laws"]
-    first = _first_failure(law, [(s,) for s in _5a_sets(CORPUS)])
+    first = _first_failure(law, [(s,) for s in _5a_singles(CORPUS)])
+    assert _first_failure(tame_law, [(s,) for s in _random_sets(CORPUS)]) is not None
     assert check.status == "fail" and first is not None
-    assert check.details == f"(x) dS not in iS on {first}"
+    assert check.details == f"(x) dS not in iS on {first}; (y) dS not in iS on {ON_U_TEXT}"
 
 
 def test_5a_names_the_first_pair_a_false_pair_law_fails_on(monkeypatch):
+    # 5a's pairs are those of its cyclic corpus that hold V, cV or A22, in
+    # order, then its witness, the universal pair.
     def law(s, t, u):
         return sym_equal(apply_word("d", sym_intersect(s, t)),
                          sym_intersect(apply_word("d", s), apply_word("d", t)))
 
-    monkeypatch.setattr(verify, "D_PAIR_LAWS",
-                        verify.D_PAIR_LAWS + (verify.Law("(x) meet fails", law),))
+    def tame_law(s, t, u):
+        return not (s.is_tame() and t.is_tame()) or sym_subset(apply_word("d", t),
+                                                                apply_word("d", s))
+
+    monkeypatch.setattr(verify, "D_PAIR_LAWS", verify.D_PAIR_LAWS + (
+        verify.Law("(x) meet fails", law), verify.Law("(y) dT not in dS", tame_law)))
     check = _property_suites()["5a-d-operator-laws"]
     sets = _5a_sets(CORPUS)
-    first = _first_failure(law, [(s, t, None) for s, t in zip(sets, sets[1:] + sets[:1])])
+    pairs = [(s, t, None) for s, t in zip(sets, sets[1:] + sets[:1])]
+    first = _first_failure(law, [p for p in pairs if not (p[0].is_tame() and p[1].is_tame())])
+    assert _first_failure(tame_law, pairs) is not None
+    on_pair = render_symbolic(tame(realsets.universal_pair()[0]))
     assert check.status == "fail" and first is not None
-    assert check.details == f"(x) meet fails on {first}"
+    assert check.details == f"(x) meet fails on {first}; (y) dT not in dS on {on_pair}"
 
 
 def test_a_law_that_holds_on_the_witness_is_evaluated_only_on_v_mode_inputs():
@@ -547,7 +572,7 @@ def test_a_law_that_holds_on_the_witness_is_evaluated_only_on_v_mode_inputs():
         calls.append(s)
         return True
 
-    sets = [tame(s) for s in CORPUS.random] + [CORPUS.named["V"]]
+    sets = _random_sets(CORPUS) + [CORPUS.named["V"]]
     laws = (verify.Law("(x) fails", law),)
     assert verify.law_violations(laws, [(s,) for s in sets], verify.ON_U) == ([], 0)
     assert calls == [tame(UNIVERSAL), CORPUS.named["V"]]
@@ -560,17 +585,10 @@ def test_an_empty_witness_leaves_every_input_to_be_evaluated():
         calls.append(s)
         return True
 
-    inputs = [((tame(s),) for s in CORPUS.random), (CORPUS.named["V"],)]
+    inputs = [(s,) for s in _random_sets(CORPUS)] + [(CORPUS.named["V"],)]
     laws = (verify.Law("(x) fails", law),)
     assert verify.first_failures(laws, inputs, ()) == ([None], 0)
-    assert calls == [tame(s) for s in CORPUS.random] + [CORPUS.named["V"]]
-
-
-def _logging_law(name, calls, holds):
-    def law(s):
-        calls.append((name, render_symbolic(s)))
-        return holds(s)
-    return verify.Law(f"({name}) fails", law)
+    assert calls == [s for (s,) in inputs]
 
 
 def _undecidable_on_u(s):
@@ -586,32 +604,19 @@ def _undecidable_on_u(s):
     ((), lambda s: True),
 ], ids=["clean", "false-on-witness", "undecidable-on-witness", "empty-witness"])
 def test_a_block_decides_as_its_inputs_do_one_by_one(witness, holds):
-    # The random sets come once as one iterator and once as explicit
-    # tuples.  Beside the law of each case, one law that holds everywhere
-    # and one that fails on U and on a random set late in the corpus, where
-    # the iterator is no longer pulled unless the law of the case is open.
-    late = tame(CORPUS.random[12])
+    # Beside the law of each case, one law that holds everywhere and one
+    # that fails on U and on a random set late in the corpus.  Evaluated
+    # one by one, the witness is the last input.
+    late = tame(CORPUS.random(12))
     named = [(CORPUS.named["A18"],), (V,), (CV,)]
-    outcomes, pulled = [], []
-
-    def pull():
-        for s in CORPUS.random:
-            pulled.append((tame(s),))
-            yield pulled[-1]
-
-    for random in ([pull()], [(tame(s),) for s in CORPUS.random]):
-        calls, prepared = [], []
-        laws = (_logging_law("x", calls, holds),
-                _logging_law("true", calls, lambda s: True),
-                _logging_law("late", calls, lambda s: s not in (verify.ON_U[0], late)))
-        inputs = named[:2] + random + named[2:]
-        first = verify.first_failures(laws, inputs, witness,
-                                      lambda *sets: prepared.append(sets) or sets)
-        outcomes.append((first, calls, prepared))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0][0][2] == late
-    # Each input pulled from the iterator was evaluated, in order.
-    assert pulled and pulled == [s for s in prepared if s not in (witness, *named)]
+    inputs = named[:2] + [(s,) for s in _random_sets(CORPUS)] + named[2:]
+    laws = (verify.Law("(x) fails", holds), verify.Law("(true) fails", lambda s: True),
+            verify.Law("(late) fails", lambda s: s not in (verify.ON_U[0], late)))
+    first, _ = verify.first_failures(laws, inputs, witness)
+    last = [witness] if witness else []
+    one_by_one = [_first_failure(law.holds, inputs + last) for law in laws]
+    assert [None if s is None else render_symbolic(s) for s in first] == one_by_one
+    assert first[2] == late
 
 
 def test_a_law_false_on_its_witness_fails_there_when_no_input_fails_it():
