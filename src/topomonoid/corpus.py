@@ -52,9 +52,10 @@ class Corpus:
 
     Random set j, for j in range(size), is random(j), made on each call
     and kept nowhere.  verify decides every law on the tame sets through
-    a witness that shows every location (the locality lemma in realsets),
-    so a passing run makes only the random sets it evaluates; its claims
-    about the whole corpus hold for the others through that lemma.
+    an input that shows every location, U or the universal pair (the
+    locality lemma in realsets), so verify makes only the random sets it
+    evaluates; its claims about the whole corpus hold for the others
+    through that lemma.
     """
 
     named: dict[str, SymbolicSet]

@@ -14,15 +14,16 @@ walked on their rows (monoid.submonoid).
 
 Each count's upper bound is closure (that search; criterion 7 checks each
 walked set as completion_check's candidate) plus soundness (criterion 6
-decides each rule on every tame set through the witness U and evaluates
-the three V-mode witnesses).  Its lower bound is criterion 3: the tame
-A18 separates the 40 PB operators (every set has the Baire property under
-PB) and A22 the 46 BASE ones, and each of the nine monoids lies inside its
-system's table, so no two of its operators are equal either.  Confluence
-is not needed for the counts, only for criterion 10.  Criterion 3 reads
-the count of vitali.distinguish's (count, images) and renders no image.
-distinguish compares two images only when their parts outside kW1 agree,
-which is exact both ways (its docstring has the argument).
+evaluates each rule on the named sets, V, cV and A22 among them, then on
+U, which decides it on every tame set).  Its lower bound is criterion 3:
+the tame A18 separates the 40 PB operators (every set has the Baire
+property under PB) and A22 the 46 BASE ones, and each of the nine monoids
+lies inside its system's table, so no two of its operators are equal
+either.  Confluence is not needed for the counts, only for criterion 10.
+Criterion 3 reads the count of vitali.distinguish's (count, images) and
+renders no image.  distinguish compares two images only when their parts
+outside kW1 agree, which is exact both ways (its docstring has the
+argument).
 
 Criterion 10 checks each edge g*u -> v of the Cayley graph of the kicdf
 monoid under BASE and PB (enumerate_monoid's left_cayley) as the word
@@ -37,30 +38,31 @@ unique normal forms, that is the confluence tests/test_rewrite.py pins.
 
 Every claim decided on a witness goes through law_violations: 5a's
 d-laws (its word identities among them), 5b's laws and equalities, 5c,
-6's rule table, 8's corpus order and 10.  Every law is location-wise, so
-it is decided on a witness that shows every location, U for a law in one
-set and realsets.universal_pair() for a law in two; each law is then
-exact over every tame set or tame pair, and only the plusV/minusV inputs
-are evaluated one by one.  5c, 8's corpus order and 10 are the
-exceptions: they pass the empty witness, which shows no location, and
-evaluate every input.  5c's one input is V, which must refute each
-equality itself.  8's inputs are the six named witnesses, three of them
-small tame sets (corpus_relation has the argument that the order is
-unchanged).  10's first input is U, so an edge undecidable there is one
-skip.  An undecidable instance is a skip in 5a, in 6's rule table and
-in 8's corpus order, and a failure everywhere else.
-Like 5b's equalities, 6's PB-tier rules are checked on Baire-property
-sets.
+6's rule table, 8's corpus order and 10.  A law table is a list of
+inputs, each a tuple of sets, and each law goes through them in order up
+to its first failing input.  Every law is location-wise, so on a tame
+input that shows every location it holds exactly when it holds on every
+tame set or tame pair: on U for a law in one set, on
+realsets.universal_pair() for a law in two.  5a, 5b and 6 end their
+inputs with that one, and 10 begins with U, so a law false on some tame
+set fails there at the latest, or is a skip, and is never passed.  A law
+that holds on U evaluates to True on every tame input, never to
+Undecidable: is_meager is exact there, and sym_subset and sym_equal
+answer True on every true inclusion or equality.  5c and 8's corpus
+order take no U: 5c's one input is V, which must refute each equality
+itself, and 8's inputs are the six named witnesses (corpus_relation has
+the argument for its order).  An undecidable instance is a skip in 5a,
+in 6's rule table and in 8's corpus order, and a failure everywhere
+else.  Like 5b's equalities, 6's PB-tier rules are checked on
+Baire-property sets.
 
-The law tables of 5a, 5b and 6 take the named inputs only: 5a's V, cV
-and A22 and its four cyclic pairs that hold one of them, whose tame ends
-are the last random set and set 0 (corpus.random(j); 999 and 0 at the
-default size), and 5b's and 6's named sets.  The reports "hold on 1003
-corpus sets" and "all 57 rules pass on the full corpus" count
-corpus.size and the named inputs, and are true through the locality
-lemma: a law that holds cleanly at every location of its witness holds
-on every tame set, made or not.  A law that no input fails but its
-witness does fails on the witness's first set (first_failures).
+The named inputs of 5a, 5b and 6 come before U: 5a's V, cV and A22 and
+its four cyclic pairs that hold one of them, whose tame ends are the
+last random set and set 0 (corpus.random(j); 999 and 0 at the default
+size), and 5b's and 6's named sets.  The reports "hold on 1003 corpus
+sets" and "all 57 rules pass on the full corpus" count corpus.size and
+the named inputs, and are true through U: a law that holds there holds
+on every tame set, made or not.
 
 Criterion 8 compares two orders on the even operators: the proved one
 (poset.proved_relation, on the rewrite side, closed over the Cayley rows
@@ -308,7 +310,7 @@ def identity_law(lhs: str, rhs: str, text: str) -> Law:
                (lhs, rhs))
 
 
-# The witness of a law in one set.
+# U, the last input of a law in one set: it shows every location.
 ON_U = (tame(UNIVERSAL),)
 
 
@@ -352,85 +354,40 @@ def _with_union(s, t):
 
 def _named_inputs(corpus):
     """(every named corpus set, the Baire-property ones) as one-set inputs.
-    The random sets are tame, so each has the Baire property, and ON_U
-    decides them."""
+    The random sets are tame, so each has the Baire property; the callers
+    end both lists with U, which decides them."""
     named = [(s,) for s in corpus.named.values()]
     return named, [(s,) for (s,) in named if has_baire_property(s) is True]
 
 
-def _outcome(law, args) -> bool | None:
-    """law(*args), or None if it is undecidable."""
-    try:
-        return bool(law(*args))
-    except Undecidable:
-        return None
+def law_violations(laws, inputs, prepare=lambda *sets: sets):
+    """(problems, skipped) of the laws over the inputs (see first_failures).
 
-
-def law_violations(laws, inputs, witness, prepare=lambda *sets: sets):
-    """(problems, skipped) of the laws over the inputs, each a tuple of sets.
-
-    A law stops at its first failing input, which its problem names by the
-    input's first set; problems follow the order of the laws.  See
-    first_failures for how the inputs are decided.
+    Each problem names a law's first failing input by its first set;
+    problems follow the order of the laws.
     """
-    first, skipped = first_failures(laws, inputs, witness, prepare)
+    first, skipped = first_failures(laws, inputs, prepare)
     problems = [f"{law.text} on {render_symbolic(s)}"
                 for law, s in zip(laws, first) if s is not None]
     return problems, skipped
 
 
-def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
+def first_failures(laws, inputs, prepare=lambda *sets: sets):
     """(first, skipped): per law, the first set of its first failing input
     (None if it fails on none), and the number of skips.
 
-    Each input is a tuple of sets.  prepare(*sets) gives the laws their
-    arguments.  Each Undecidable, from prepare (which then skips the
-    input) or from a law, is one skip, never a pass; one from prepare on
-    the witness leaves every law undecided there.  An empty witness shows
-    no location: every law starts undecided, and every input is evaluated.
-
-    Each law, being location-wise (see Law), runs first on the witness, a
-    tuple of tame sets that shows every location: every gap trace and every
-    (trace, membership, trace) triple of the locality lemma in realsets, or
-    every joint one for a pair.  This is exact in both directions.  If the law
-    holds there cleanly (True, no Undecidable), it holds at every location
-    of every tame input, so on each such input it holds, which is the very
-    answer evaluation would give: for tame sets is_meager is exact, and
-    sym_subset and sym_equal answer True on every true inclusion or
-    equality.  Such inputs count as checked without being evaluated; every
-    other input is evaluated with only the laws still open on it.  If the
-    law fails on the witness, or is undecidable there, the witness itself
-    is a tame input on which it does not hold cleanly, so no tame input is
-    passed unevaluated: each is evaluated, because whether an input fails
-    the law or is undecidable (images that differ by one rational point
-    inside W1) depends on the input.  If no input fails it, the witness does, as a
-    last input: a law false there fails on the witness's first set, and
-    one undecidable there counts one skip (one in all when prepare is, as
-    on any input).  So a law false on some tame set never passes,
-    whichever inputs it is given.
-    Inputs with a plusV/minusV set are always evaluated: their images
-    depend on where their breakpoints lie relative to W0 and W1, which no
-    tame witness covers.
+    Each input is a tuple of sets, and prepare(*sets) gives the laws their
+    arguments.  Each law goes through the inputs in order and stops at its
+    first failing input; an input is prepared while some law is still
+    open.  Each Undecidable, from prepare (which then skips the input) or
+    from a law, is one skip, never a pass.
     """
-    on_witness = []  # per law: True, False, or None if undecidable
-    witness_args = None
-    if witness:
-        try:
-            witness_args = prepare(*witness)
-        except Undecidable:
-            on_witness = [None] * len(laws)
-        else:
-            on_witness = [_outcome(law.holds, witness_args) for law in laws]
-    clean = {j for j, held in enumerate(on_witness) if held is True}
-    first = [None] * len(laws)  # per law, the first set of its first failing input
+    first = [None] * len(laws)
     skipped = 0
-
     for sets in inputs:
-        tame_input = all(s.is_tame() for s in sets)
-        js = [j for j in range(len(laws))
-              if first[j] is None and not (tame_input and j in clean)]
+        js = [j for j, s in enumerate(first) if s is None]
         if not js:
-            continue
+            break
         try:
             args = prepare(*sets)
         except Undecidable:
@@ -442,16 +399,6 @@ def first_failures(laws, inputs, witness, prepare=lambda *sets: sets):
                     first[j] = sets[0]
             except Undecidable:
                 skipped += 1
-    # The witness, as a last input, for the laws that no input failed.
-    unfailed = [j for j, held in enumerate(on_witness) if first[j] is None and held is not True]
-    if witness_args is None:
-        skipped += bool(unfailed)  # prepare's one skip, as on any input
-    else:
-        for j in unfailed:
-            if on_witness[j] is None:
-                skipped += 1
-            else:
-                first[j] = witness[0]
     return first, skipped
 
 
@@ -469,19 +416,19 @@ def _d_law_violations(singles, pairs) -> tuple[list[str], int]:
     which with (i) gives (f) on a tame S: if S is meager, so is dS, inside
     S u M; then idS is open and meager, so empty by the Baire category
     theorem, and dS = kidS = k0 = 0.  If dS is empty, S lies inside M.
-    All laws go through law_violations: those in one set on U over the
-    singles, (a) and (d) on the universal pair over the pairs.
+    All laws go through law_violations: those in one set over the singles
+    and then U, (a) and (d) over the pairs and then the universal pair.
     """
-    problems, skipped = law_violations(D_SET_LAWS, singles, ON_U)
+    problems, skipped = law_violations(D_SET_LAWS, [*singles, ON_U])
     pair_problems, pair_skipped = law_violations(
-        D_PAIR_LAWS, pairs, tuple(map(tame, universal_pair())), _with_union)
+        D_PAIR_LAWS, [*pairs, tuple(map(tame, universal_pair()))], _with_union)
     return problems + pair_problems, skipped + pair_skipped
 
 
 def check_property_suites(checks, corpus):
     # The corpus is the random sets, then V, cV and A22, and its pairs are
     # each set with the next, cyclically.  Those that hold a V-mode set are
-    # evaluated; the witnesses decide the others.
+    # evaluated, then U and the universal pair, which decide the others.
     tail = [corpus.named["V"], corpus.named["cV"], corpus.named["A22"]]
     ends = [tame(corpus.random(corpus.size - 1)), *tail, tame(corpus.random(0))]
     problems, skipped = _d_law_violations([(s,) for s in tail], list(zip(ends, ends[1:])))
@@ -490,21 +437,21 @@ def check_property_suites(checks, corpus):
            f"({skipped} undecidable instances skipped)", problems)
 
     _, bp_named = _named_inputs(corpus)
-    problems, skipped = law_violations(BAIRE_SET_LAWS, bp_named, ON_U)
+    problems, skipped = law_violations(BAIRE_SET_LAWS, [*bp_named, ON_U])
     if skipped:
         problems.append(f"{skipped} instances undecidable on property-true sets")
     _check(checks, "5b-baire-equalities",
            f"Baire-property equalities hold on all {len(bp_named) + corpus.size} "
            f"property-true corpus sets", problems)
 
-    # The empty witness: each equality is refuted by V itself, not by U.
+    # V is the one input: each equality is refuted by V itself, not by U.
     problems = []
     v = corpus.named["V"]
     for law in BAIRE_SET_LAWS:
         if law.words is None:
             continue
         lhs, rhs = law.words
-        refuted, skipped = law_violations((law,), [(v,)], ())
+        refuted, skipped = law_violations((law,), [(v,)])
         if skipped:
             problems.append(f"{lhs}V = {rhs}V is undecidable")
         elif not refuted:
@@ -527,7 +474,7 @@ def check_rule_validation(checks, corpus, params):
     for pb_tier, named in zip((False, True), _named_inputs(corpus)):
         laws = [identity_law(r.lhs, r.rhs, f"rule {r.lhs} -> {r.rhs} refuted")
                 for r in rules if (r.tier == "PB") == pb_tier]
-        refuted, tier_skipped = law_violations(laws, named, ON_U)
+        refuted, tier_skipped = law_violations(laws, [*named, ON_U])
         problems, skipped = problems + refuted, skipped + tier_skipped
 
     # The printed transposed forms must fail, with the documented images.
@@ -561,21 +508,20 @@ def corpus_relation(elements, witness_sets) -> OrderRelation:
     images of all the elements once, so a witness with an undecidable
     image is skipped, like an undecidable inclusion.
 
-    The laws get the empty witness, not U, so every witness set is
-    evaluated.  The relation is the one U would give.  A law that holds
-    cleanly on U holds on every tame set, and on a tame witness sym_subset
-    answers that true inclusion True (through realsets.is_subset), just as
-    passing it unevaluated would.  A law that does not hold cleanly on U
-    had every input evaluated anyway.  The plusV/minusV witnesses were
-    always evaluated.  So each law's first failure, and each skip, is the
-    same; only U's 33-gap images are no longer built.
+    U is not an input, so a tame set may refute a <= b where no witness
+    does: the relation contains the true order but may be larger.
+    Criterion 8 compares it with poset.proved_relation, which is sound,
+    so inside the true order; where proved and corpus are equal, all
+    three coincide.  Under PB the true order is over the Baire-property
+    sets, and the three tame witnesses alone give the same relation on
+    the PB evens (tests/test_poset.py).
     """
     elements = tuple(elements)
     n = len(elements)
     laws = [Law(f"{render_word(a)} <= {render_word(b)}",
                 lambda images, i=i, j=j: sym_subset(images[i], images[j]))
             for i, a in enumerate(elements) for j, b in enumerate(elements)]
-    first, _ = first_failures(laws, [(s,) for s in witness_sets], (),
+    first, _ = first_failures(laws, [(s,) for s in witness_sets],
                               lambda s: (tuple(apply_word(w, s) for w in elements),))
     holds = [s is None for s in first]
     return OrderRelation(elements, tuple(tuple(holds[i:i + n]) for i in range(0, n * n, n)))
@@ -633,7 +579,7 @@ def check_rewrite_semantics(checks, params, full):
         laws = [Law(f"{table.axioms}: {render_word(g + u)} = {render_word(els[j])} fails",
                     lambda images, g=g, i=i, j=j: sym_equal(apply_word(g, images[i]), images[j]))
                 for g, row in table.left_cayley.items() for i, (u, j) in enumerate(zip(els, row))]
-        refuted, skipped = law_violations(laws, inputs, (),
+        refuted, skipped = law_violations(laws, inputs,
                                           lambda s: (tuple(apply_word(u, s) for u in els),))
         problems += refuted
         if skipped:

@@ -134,6 +134,14 @@ def test_proved_equals_corpus_on_evens():
         assert proved_relation(els, kcd(ax)).leq == corpus_relation(els, witness_sets()).leq
 
 
+def test_the_tame_witnesses_alone_give_the_pb_order():
+    # Under PB every set has the Baire property: the V-mode witnesses
+    # refute no inclusion of PB evens that A18, empty and full leave.
+    els = evens(PB)
+    tame_sets = [witness(name) for name in ("A18", "empty", "full")]
+    assert corpus_relation(els, tame_sets).leq == corpus_relation(els, witness_sets()).leq
+
+
 def test_hasse_zfc_fourteen_edges():
     edges = set(hasse(proved_relation(evens(BASE), kcd(BASE))))
     assert edges == set(ZFC_HASSE)

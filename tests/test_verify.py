@@ -64,9 +64,10 @@ def test_criteria_pass_on_the_small_corpus():
 
 
 def _identity_violations(lhs, rhs, sets):
-    """law_violations of the one word identity lhs = rhs on each set."""
+    """law_violations of the one word identity lhs = rhs on each set, then
+    on U."""
     law = verify.identity_law(lhs, rhs, f"{lhs} = {rhs} fails")
-    return verify.law_violations((law,), [(s,) for s in sets], verify.ON_U)
+    return verify.law_violations((law,), [*((s,) for s in sets), verify.ON_U])
 
 
 @pytest.mark.parametrize("size", [0, -1])
@@ -313,8 +314,8 @@ def test_10_fails_on_a_pb_rule_in_base_on_a_v_mode_set():
 
 
 def test_10_counts_each_undecidable_input_once(monkeypatch):
-    # U is 10's first input and no longer also its witness: the BASE edges
-    # have six inputs (U and five V-mode sets) and the PB edges one.
+    # U is 10's first input: the BASE edges have six inputs (U and five
+    # V-mode sets) and the PB edges one.
     monkeypatch.setattr(verify, "apply_word", _undecidable)
     check = _criterion_10()
     assert check.status == "fail"
@@ -374,6 +375,27 @@ def test_a_passing_run_makes_one_closure_search_per_axiom_system(monkeypatch):
     assert searches == [("BASE", "cdfik"), ("PB", "cdfik")]
 
 
+def test_every_law_table_of_a_passing_run_holds_u_or_the_universal_pair(monkeypatch):
+    # A law false on some tame set fails on U or the universal pair at the
+    # latest.  Only 5c (V alone) and 8's corpus order (the six named
+    # witnesses) take neither.
+    calls = []
+    real = verify.first_failures
+
+    def recording(laws, inputs, *args):
+        calls.append(list(inputs))
+        return real(laws, inputs, *args)
+
+    monkeypatch.setattr(verify, "first_failures", recording)
+    assert verify.run_verify(corpus_size=17).ok
+    pair = tuple(map(tame, realsets.universal_pair()))
+    named = [(witness(name),) for name in corpus_mod.WITNESS_NAMES]
+    exempt = [inputs for inputs in calls if inputs in ([(V,)], named)]
+    assert len(calls) == 13 and len(exempt) == 4 + 2
+    assert all(verify.ON_U in inputs or pair in inputs
+               for inputs in calls if inputs not in exempt)
+
+
 def _undecidable(*args):
     raise Undecidable("injected")
 
@@ -402,8 +424,8 @@ def test_5a_counts_undecidable_laws_as_skips(monkeypatch):
     sets = _5a_sets(CORPUS)
     problems, skipped = _d_law_violations(sets)
     assert not problems and skipped == 2
-    # Undecidable on the witness too, so every set is evaluated and skipped,
-    # and the witness, which no set failed in its place, is one more skip.
+    assert (problems, skipped) == _oracle_d_law_violations(sets)
+    # Undecidable on every set, and on U, the last input: one skip each.
     monkeypatch.setattr(verify, "D_SET_LAWS",
                         verify.D_SET_LAWS + (verify.Law("(x) fails", _undecidable),))
     assert _d_law_violations(sets) == ([], skipped + len(sets) + 1)
@@ -500,17 +522,25 @@ def _5a_sets(corpus):
     return _random_sets(corpus) + _5a_singles(corpus)
 
 
+def _verdicts(violations):
+    """The texts of the failing laws, and the skips, of (problems, skipped)."""
+    problems, skipped = violations
+    return {p.split(" on ")[0] for p in problems}, skipped
+
+
 @pytest.mark.parametrize("seed", [1729, 2729, 7])
 def test_laws_on_witnesses_match_the_set_by_set_oracle(seed):
-    corpus = build_corpus(verify.DEFAULT_CORPUS_SIZE, seed)
-    sets = _5a_sets(corpus)
+    # U alone, and the universal pair alone, give each law the verdict the
+    # set-by-set oracle gives over the seed's random sets and their cyclic
+    # pairs.
+    sets = _random_sets(build_corpus(verify.DEFAULT_CORPUS_SIZE, seed))
     expected = _oracle_d_law_violations(sets)
-    assert _d_law_violations(sets) == expected
+    assert _verdicts(verify._d_law_violations([], [])) == _verdicts(expected)
     if seed == 1729:
-        assert expected == ([], 2)
-    bp_sets = [s for s in _all_sets(corpus) if has_baire_property(s) is True]
-    assert (verify.law_violations(verify.BAIRE_SET_LAWS, [(s,) for s in bp_sets], verify.ON_U)
-            == _oracle_baire_law_violations(bp_sets))
+        assert expected == ([], 0)
+    assert all(has_baire_property(s) is True for s in sets)
+    assert (_verdicts(verify.law_violations(verify.BAIRE_SET_LAWS, [verify.ON_U]))
+            == _verdicts(_oracle_baire_law_violations(sets)))
 
 
 def _first_failure(law, inputs):
@@ -565,29 +595,16 @@ def test_5a_names_the_first_pair_a_false_pair_law_fails_on(monkeypatch):
     assert check.details == f"(x) meet fails on {first}; (y) dT not in dS on {on_pair}"
 
 
-def test_a_law_that_holds_on_the_witness_is_evaluated_only_on_v_mode_inputs():
+def test_every_input_is_evaluated_in_order():
     calls = []
 
     def law(s):
         calls.append(s)
         return True
 
-    sets = _random_sets(CORPUS) + [CORPUS.named["V"]]
+    inputs = [(s,) for s in _random_sets(CORPUS)] + [(CORPUS.named["V"],), verify.ON_U]
     laws = (verify.Law("(x) fails", law),)
-    assert verify.law_violations(laws, [(s,) for s in sets], verify.ON_U) == ([], 0)
-    assert calls == [tame(UNIVERSAL), CORPUS.named["V"]]
-
-
-def test_an_empty_witness_leaves_every_input_to_be_evaluated():
-    calls = []
-
-    def law(s):
-        calls.append(s)
-        return True
-
-    inputs = [(s,) for s in _random_sets(CORPUS)] + [(CORPUS.named["V"],)]
-    laws = (verify.Law("(x) fails", law),)
-    assert verify.first_failures(laws, inputs, ()) == ([None], 0)
+    assert verify.first_failures(laws, inputs) == ([None], 0)
     assert calls == [s for (s,) in inputs]
 
 
@@ -597,24 +614,22 @@ def _undecidable_on_u(s):
     return True
 
 
-@pytest.mark.parametrize("witness,holds", [
-    (verify.ON_U, lambda s: True),
-    (verify.ON_U, lambda s: sym_equal(apply_word("k", s), apply_word("i", s))),
-    (verify.ON_U, _undecidable_on_u),
-    ((), lambda s: True),
-], ids=["clean", "false-on-witness", "undecidable-on-witness", "empty-witness"])
-def test_a_block_decides_as_its_inputs_do_one_by_one(witness, holds):
+@pytest.mark.parametrize("holds", [
+    lambda s: True,
+    lambda s: sym_equal(apply_word("k", s), apply_word("i", s)),
+    _undecidable_on_u,
+], ids=["clean", "false-on-witness", "undecidable-on-witness"])
+def test_a_block_decides_as_its_inputs_do_one_by_one(holds):
     # Beside the law of each case, one law that holds everywhere and one
-    # that fails on U and on a random set late in the corpus.  Evaluated
-    # one by one, the witness is the last input.
+    # that fails on U and on a random set late in the corpus.  U is the
+    # last input.
     late = tame(CORPUS.random(12))
     named = [(CORPUS.named["A18"],), (V,), (CV,)]
-    inputs = named[:2] + [(s,) for s in _random_sets(CORPUS)] + named[2:]
+    inputs = named[:2] + [(s,) for s in _random_sets(CORPUS)] + named[2:] + [verify.ON_U]
     laws = (verify.Law("(x) fails", holds), verify.Law("(true) fails", lambda s: True),
             verify.Law("(late) fails", lambda s: s not in (verify.ON_U[0], late)))
-    first, _ = verify.first_failures(laws, inputs, witness)
-    last = [witness] if witness else []
-    one_by_one = [_first_failure(law.holds, inputs + last) for law in laws]
+    first, _ = verify.first_failures(laws, inputs)
+    one_by_one = [_first_failure(law.holds, inputs) for law in laws]
     assert [None if s is None else render_symbolic(s) for s in first] == one_by_one
     assert first[2] == late
 
@@ -622,23 +637,23 @@ def test_a_block_decides_as_its_inputs_do_one_by_one(witness, holds):
 def test_a_law_false_on_its_witness_fails_there_when_no_input_fails_it():
     law = verify.identity_law("k", "i", "k = i fails")
     empty = tame(realsets.EMPTY)
-    assert verify.law_violations((law,), [(empty,)], verify.ON_U) == (
+    assert verify.law_violations((law,), [(empty,), verify.ON_U]) == (
         [f"k = i fails on {ON_U_TEXT}"], 0)
     # An input that fails it is named first.
-    assert verify.law_violations((law,), [(empty,), (tame(point(3)),)], verify.ON_U) == (
+    assert verify.law_violations((law,), [(empty,), (tame(point(3)),), verify.ON_U]) == (
         ["k = i fails on {3}"], 0)
 
 
 def test_a_law_undecidable_on_its_witness_is_a_skip_when_no_input_fails_it():
     law = verify.Law("(x) fails", _undecidable_on_u)
     empty = tame(realsets.EMPTY)
-    assert verify.law_violations((law,), [(empty,), (V,)], verify.ON_U) == ([], 1)
+    assert verify.law_violations((law,), [(empty,), (V,), verify.ON_U]) == ([], 1)
     failing = verify.Law("(x) fails", lambda s: _undecidable_on_u(s) and s != V)
-    assert verify.law_violations((failing,), [(empty,), (V,)], verify.ON_U) == (
+    assert verify.law_violations((failing,), [(empty,), (V,), verify.ON_U]) == (
         ["(x) fails on V"], 0)
-    # Undecidable from prepare on the witness: one skip, as on any input.
+    # Undecidable from prepare on U: one skip, as on any input.
     laws = (verify.Law("(x) fails", lambda s: True), verify.Law("(y) fails", lambda s: True))
-    assert verify.law_violations(laws, [(empty,)], verify.ON_U,
+    assert verify.law_violations(laws, [(empty,), verify.ON_U],
                                  lambda s: (_undecidable_on_u(s) and s,)) == ([], 1)
 
 
@@ -697,28 +712,6 @@ def test_an_identity_does_not_remember_plus_or_minus_v_inputs():
     assert _shape(outside) == _shape(inside)
     assert _identity_violations("k", "kk", [outside, inside]) == ([], 1)
     assert _identity_violations("k", "kk", [inside, outside]) == ([], 1)
-
-
-def test_an_identity_decides_tame_inputs_on_the_universal_witness(monkeypatch):
-    sets = _all_sets(build_corpus(300, seed=4100))
-    v_mode = [s for s in sets if not s.is_tame()]
-    assert v_mode and len(v_mode) < len(sets)
-    evaluated = []
-
-    def recording_apply_word(word, s):
-        evaluated.append(s)
-        return apply_word(word, s)
-
-    monkeypatch.setattr(verify, "apply_word", recording_apply_word)
-    u = verify.ON_U[0]
-    # The words agree on U: no tame input is evaluated, every V-mode input is.
-    assert _identity_violations("kikik", "kik", sets) == ([], 0)
-    assert evaluated == [u, u] + [s for s in v_mode for _ in ("lhs", "rhs")]
-    # They differ on U: tame inputs are evaluated one by one.
-    evaluated.clear()
-    tame_point = tame(point(3))
-    assert _identity_violations("k", "i", [tame_point]) == (["k = i fails on {3}"], 0)
-    assert evaluated == [u, u, tame_point, tame_point]
 
 
 def test_an_identity_matches_the_set_by_set_check():
